@@ -452,8 +452,10 @@ func BenchmarkPipelineScale(b *testing.B) {
 	}
 }
 
-// BenchmarkParseConcurrent measures Stage II parsing throughput at 1 and
-// GOMAXPROCS workers over the default decoded document set.
+// BenchmarkParseConcurrent measures Stage II parsing throughput at 1
+// (sequential) and GOMAXPROCS (parallel) workers over the default decoded
+// document set. The case names do not depend on the core count, so the
+// keys stay distinct and stable across machines.
 func BenchmarkParseConcurrent(b *testing.B) {
 	truth, err := synth.Generate(synth.Config{Seed: 1})
 	if err != nil {
@@ -472,8 +474,9 @@ func BenchmarkParseConcurrent(b *testing.B) {
 	for _, d := range decoded {
 		inputs = append(inputs, parse.Input{DocID: d.DocID, Lines: d.Lines})
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+	for _, bc := range workerCases() {
+		workers := bc.workers
+		b.Run(bc.name, func(b *testing.B) {
 			var rows int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -488,8 +491,20 @@ func BenchmarkParseConcurrent(b *testing.B) {
 	}
 }
 
+// workerCases names the sequential and parallel runs of a concurrent stage.
+func workerCases() []struct {
+	name    string
+	workers int
+} {
+	return []struct {
+		name    string
+		workers int
+	}{{"sequential", 1}, {"parallel", runtime.GOMAXPROCS(0)}}
+}
+
 // BenchmarkClassifyAll measures Stage III classification throughput over
-// the full synthetic cause corpus at 1 and GOMAXPROCS workers.
+// the full synthetic cause corpus at 1 (sequential) and GOMAXPROCS
+// (parallel) workers.
 func BenchmarkClassifyAll(b *testing.B) {
 	truth, err := synth.Generate(synth.Config{Seed: 1})
 	if err != nil {
@@ -503,8 +518,9 @@ func BenchmarkClassifyAll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+	for _, bc := range workerCases() {
+		workers := bc.workers
+		b.Run(bc.name, func(b *testing.B) {
 			var tagged int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -518,6 +534,32 @@ func BenchmarkClassifyAll(b *testing.B) {
 			b.ReportMetric(float64(tagged), "tagged")
 		})
 	}
+}
+
+// BenchmarkExpand measures Stage III dictionary expansion over the causes
+// Stage II recovers for seed 1.
+func BenchmarkExpand(b *testing.B) {
+	cfg := pipeline.DefaultConfig()
+	cfg.OCR.Seed = 1
+	cfg.ExpandDictionary = false
+	res, err := pipeline.Run(context.Background(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	causes := make([]string, len(res.Recovered.Disengagements))
+	for i, d := range res.Recovered.Disengagements {
+		causes[i] = d.Cause
+	}
+	var added int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, added, err = nlp.Expand(nlp.SeedDictionary(), causes, nlp.DefaultOptions(), nlp.ExpandOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(added), "added")
 }
 
 // BenchmarkSurvival regenerates the Kaplan-Meier analysis.

@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"avfda/internal/calib"
 	"avfda/internal/nlp"
@@ -102,6 +104,115 @@ func TestBuildConcurrentMatchesBuild(t *testing.T) {
 	}
 	if _, err := BuildConcurrent(&tr.Corpus, nil, 0); err == nil {
 		t.Error("nil classifier: want error")
+	}
+}
+
+// TestBuildWithTagsInterns checks that the database holds one private copy
+// of each distinct string: values equal an un-interned build, equal causes
+// share one backing array, and nothing points into the source text the
+// corpus was sliced from (for a parsed corpus, the decoded OCR pages).
+func TestBuildWithTagsInterns(t *testing.T) {
+	tr, err := synth.Generate(synth.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-slice every string field out of one page-like buffer, as the
+	// parser slices fields out of OCR lines.
+	var page strings.Builder
+	for _, d := range tr.Corpus.Disengagements {
+		page.WriteString(string(d.Manufacturer) + string(d.Vehicle) + d.Cause)
+	}
+	for _, a := range tr.Corpus.Accidents {
+		page.WriteString(string(a.Manufacturer) + string(a.Vehicle) + a.Location + a.Narrative)
+	}
+	for _, m := range tr.Corpus.Mileage {
+		page.WriteString(string(m.Manufacturer) + string(m.Vehicle))
+	}
+	for _, f := range tr.Corpus.Fleets {
+		page.WriteString(string(f.Manufacturer))
+	}
+	text := page.String()
+	off := 0
+	slice := func(s string) string {
+		out := text[off : off+len(s)]
+		off += len(s)
+		return out
+	}
+	corpus := tr.Corpus
+	corpus.Disengagements = append([]schema.Disengagement(nil), corpus.Disengagements...)
+	corpus.Accidents = append([]schema.Accident(nil), corpus.Accidents...)
+	corpus.Mileage = append([]schema.MonthlyMileage(nil), corpus.Mileage...)
+	corpus.Fleets = append([]schema.Fleet(nil), corpus.Fleets...)
+	for i := range corpus.Disengagements {
+		d := &corpus.Disengagements[i]
+		d.Manufacturer = schema.Manufacturer(slice(string(d.Manufacturer)))
+		d.Vehicle = schema.VehicleID(slice(string(d.Vehicle)))
+		d.Cause = slice(d.Cause)
+	}
+	for i := range corpus.Accidents {
+		a := &corpus.Accidents[i]
+		a.Manufacturer = schema.Manufacturer(slice(string(a.Manufacturer)))
+		a.Vehicle = schema.VehicleID(slice(string(a.Vehicle)))
+		a.Location = slice(a.Location)
+		a.Narrative = slice(a.Narrative)
+	}
+	for i := range corpus.Mileage {
+		m := &corpus.Mileage[i]
+		m.Manufacturer = schema.Manufacturer(slice(string(m.Manufacturer)))
+		m.Vehicle = schema.VehicleID(slice(string(m.Vehicle)))
+	}
+	for i := range corpus.Fleets {
+		f := &corpus.Fleets[i]
+		f.Manufacturer = schema.Manufacturer(slice(string(f.Manufacturer)))
+	}
+
+	db, err := BuildWithTags(&corpus, tr.Tags)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &DB{
+		Fleets:    append([]schema.Fleet(nil), corpus.Fleets...),
+		Mileage:   append([]schema.MonthlyMileage(nil), corpus.Mileage...),
+		Accidents: append([]schema.Accident(nil), corpus.Accidents...),
+	}
+	for i, d := range corpus.Disengagements {
+		want.Events = append(want.Events, Event{d, tr.Tags[i], ontology.CategoryOf(tr.Tags[i])})
+	}
+	if !reflect.DeepEqual(db, want) {
+		t.Fatal("interned database differs from the un-interned build")
+	}
+
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	hi := lo + uintptr(len(text))
+	pinned := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && p >= lo && p < hi
+	}
+	var strs []string
+	for _, e := range db.Events {
+		strs = append(strs, string(e.Manufacturer), string(e.Vehicle), e.Cause)
+	}
+	for _, a := range db.Accidents {
+		strs = append(strs, string(a.Manufacturer), string(a.Vehicle), a.Location, a.Narrative)
+	}
+	for _, m := range db.Mileage {
+		strs = append(strs, string(m.Manufacturer), string(m.Vehicle))
+	}
+	for _, f := range db.Fleets {
+		strs = append(strs, string(f.Manufacturer))
+	}
+	backing := make(map[string]*byte)
+	for _, s := range strs {
+		if pinned(s) {
+			t.Fatalf("database string %q still points into the source text", s)
+		}
+		if p, ok := backing[s]; ok && p != unsafe.StringData(s) {
+			t.Fatalf("equal strings %q do not share one backing array", s)
+		}
+		backing[s] = unsafe.StringData(s)
+	}
+	if len(backing) >= len(strs)/10 {
+		t.Errorf("%d distinct strings among %d: corpus too varied to exercise sharing", len(backing), len(strs))
 	}
 }
 

@@ -8,6 +8,7 @@ package core
 import (
 	"errors"
 	"sort"
+	"strings"
 	"time"
 
 	"avfda/internal/nlp"
@@ -55,25 +56,19 @@ func BuildConcurrent(corpus *schema.Corpus, cls *nlp.Classifier, workers int) (*
 	for i, d := range corpus.Disengagements {
 		causes[i] = d.Cause
 	}
-	results := cls.ClassifyAllConcurrent(causes, workers)
-	db := &DB{
-		Fleets:    append([]schema.Fleet(nil), corpus.Fleets...),
-		Mileage:   append([]schema.MonthlyMileage(nil), corpus.Mileage...),
-		Accidents: append([]schema.Accident(nil), corpus.Accidents...),
-		Events:    make([]Event, 0, len(corpus.Disengagements)),
+	tags := make([]ontology.Tag, len(causes))
+	for i, r := range cls.ClassifyAllConcurrent(causes, workers) {
+		tags[i] = r.Tag
 	}
-	for i, d := range corpus.Disengagements {
-		db.Events = append(db.Events, Event{
-			Disengagement: d,
-			Tag:           results[i].Tag,
-			Category:      results[i].Category,
-		})
-	}
-	return db, nil
+	return BuildWithTags(corpus, tags)
 }
 
 // BuildWithTags assembles a database from pre-assigned tags (ground truth
 // or an alternative classifier), aligned with corpus.Disengagements.
+//
+// Every string in the database is a private copy, one per distinct value:
+// parsed fields are substrings of OCR text, and sharing their backing
+// arrays would keep whole decoded pages alive for as long as the database.
 func BuildWithTags(corpus *schema.Corpus, tags []ontology.Tag) (*DB, error) {
 	if corpus == nil {
 		return nil, errors.New("core: nil corpus")
@@ -81,13 +76,33 @@ func BuildWithTags(corpus *schema.Corpus, tags []ontology.Tag) (*DB, error) {
 	if len(tags) != len(corpus.Disengagements) {
 		return nil, errors.New("core: tags misaligned with disengagements")
 	}
+	in := make(interner)
 	db := &DB{
 		Fleets:    append([]schema.Fleet(nil), corpus.Fleets...),
 		Mileage:   append([]schema.MonthlyMileage(nil), corpus.Mileage...),
 		Accidents: append([]schema.Accident(nil), corpus.Accidents...),
 		Events:    make([]Event, 0, len(corpus.Disengagements)),
 	}
+	for i := range db.Fleets {
+		f := &db.Fleets[i]
+		f.Manufacturer = schema.Manufacturer(in.intern(string(f.Manufacturer)))
+	}
+	for i := range db.Mileage {
+		m := &db.Mileage[i]
+		m.Manufacturer = schema.Manufacturer(in.intern(string(m.Manufacturer)))
+		m.Vehicle = schema.VehicleID(in.intern(string(m.Vehicle)))
+	}
+	for i := range db.Accidents {
+		a := &db.Accidents[i]
+		a.Manufacturer = schema.Manufacturer(in.intern(string(a.Manufacturer)))
+		a.Vehicle = schema.VehicleID(in.intern(string(a.Vehicle)))
+		a.Location = in.intern(a.Location)
+		a.Narrative = in.intern(a.Narrative)
+	}
 	for i, d := range corpus.Disengagements {
+		d.Manufacturer = schema.Manufacturer(in.intern(string(d.Manufacturer)))
+		d.Vehicle = schema.VehicleID(in.intern(string(d.Vehicle)))
+		d.Cause = in.intern(d.Cause)
 		db.Events = append(db.Events, Event{
 			Disengagement: d,
 			Tag:           tags[i],
@@ -95,6 +110,21 @@ func BuildWithTags(corpus *schema.Corpus, tags []ontology.Tag) (*DB, error) {
 		})
 	}
 	return db, nil
+}
+
+// interner hands out one private copy of each distinct string.
+type interner map[string]string
+
+func (in interner) intern(s string) string {
+	if s == "" {
+		return ""
+	}
+	if c, ok := in[s]; ok {
+		return c
+	}
+	c := strings.Clone(s)
+	in[c] = c
+	return c
 }
 
 // Manufacturers returns the manufacturers present in the database, in the

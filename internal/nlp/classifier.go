@@ -24,7 +24,9 @@ const (
 
 // tagPriority orders tags from most to least specific for tie-breaking:
 // narrow hardware/watchdog vocabulary outranks broad environment phrasing.
-var tagPriority = []ontology.Tag{
+// The compiled index names tags by their position in this array, and only
+// tags listed here ever vote.
+var tagPriority = [...]ontology.Tag{
 	ontology.TagHangCrash,
 	ontology.TagNetwork,
 	ontology.TagSensor,
@@ -39,14 +41,14 @@ var tagPriority = []ontology.Tag{
 	ontology.TagEnvironment,
 }
 
-// priorityRank returns the tie-break rank of t (lower wins).
-func priorityRank(t ontology.Tag) int {
+// priorityPos returns t's position in tagPriority, or -1 if t never votes.
+func priorityPos(t ontology.Tag) int {
 	for i, p := range tagPriority {
 		if p == t {
 			return i
 		}
 	}
-	return len(tagPriority)
+	return -1
 }
 
 // Options configures a Classifier.
@@ -70,9 +72,19 @@ func DefaultOptions() Options {
 type Classifier struct {
 	tok  *Tokenizer
 	opts Options
-	// Per tag: unigram and bigram keyword sets, normalized through tok.
-	unigrams map[ontology.Tag]map[string]struct{}
-	bigrams  map[ontology.Tag]map[string]struct{}
+	// index is the compiled dictionary: each normalized keyword, either a
+	// token or two adjacent tokens joined by a space, maps to its entry in
+	// keywords. Tokens never contain a space, so unigrams and bigrams share
+	// one key space.
+	index    map[string]int32
+	keywords []keyword
+}
+
+// keyword is one compiled dictionary key and the tags it votes for.
+type keyword struct {
+	text string
+	// tags holds the voting tags' tagPriority positions, ascending.
+	tags []uint8
 }
 
 // Result is one classification outcome.
@@ -100,89 +112,131 @@ func NewClassifier(dict *Dictionary, opts Options) (*Classifier, error) {
 		opts.TieBreak = TieBreakPriority
 	}
 	c := &Classifier{
-		tok:      &Tokenizer{Stem: opts.Stem},
-		opts:     opts,
-		unigrams: make(map[ontology.Tag]map[string]struct{}),
-		bigrams:  make(map[ontology.Tag]map[string]struct{}),
+		tok:   &Tokenizer{Stem: opts.Stem},
+		opts:  opts,
+		index: make(map[string]int32),
 	}
-	for _, tag := range dict.Tags() {
-		uni := make(map[string]struct{})
-		bi := make(map[string]struct{})
+	// Walking tags in priority order appends each keyword's positions in
+	// ascending order.
+	for pos, tag := range tagPriority {
 		for _, phrase := range dict.Phrases(tag) {
 			toks := c.tok.Tokens(phrase)
 			for _, t := range toks {
-				uni[t] = struct{}{}
+				c.compile(t, pos)
 			}
-			for i := 0; i+1 < len(toks); i++ {
-				bi[toks[i]+" "+toks[i+1]] = struct{}{}
+			for _, bg := range bigramsOf(toks) {
+				c.compile(bg, pos)
 			}
 		}
 		// Mined phrases vote only as exact bigrams (see Dictionary).
 		for _, phrase := range dict.BigramOnlyPhrases(tag) {
-			toks := c.tok.Tokens(phrase)
-			for i := 0; i+1 < len(toks); i++ {
-				bi[toks[i]+" "+toks[i+1]] = struct{}{}
+			for _, bg := range bigramsOf(c.tok.Tokens(phrase)) {
+				c.compile(bg, pos)
 			}
 		}
-		c.unigrams[tag] = uni
-		c.bigrams[tag] = bi
 	}
 	return c, nil
+}
+
+// compile records that key votes for the tag at priority position pos.
+func (c *Classifier) compile(key string, pos int) {
+	id, ok := c.index[key]
+	if !ok {
+		id = int32(len(c.keywords))
+		c.index[key] = id
+		c.keywords = append(c.keywords, keyword{text: key})
+	}
+	kw := &c.keywords[id]
+	if n := len(kw.tags); n == 0 || kw.tags[n-1] != uint8(pos) {
+		kw.tags = append(kw.tags, uint8(pos))
+	}
+}
+
+// votesFor reports whether key is a compiled keyword that votes for tag.
+func (c *Classifier) votesFor(key string, tag ontology.Tag) bool {
+	id, ok := c.index[key]
+	return ok && hasPos(c.keywords[id].tags, priorityPos(tag))
+}
+
+// hasPos reports whether tags holds priority position pos.
+func hasPos(tags []uint8, pos int) bool {
+	for _, p := range tags {
+		if int(p) == pos {
+			return true
+		}
+	}
+	return false
 }
 
 // Classify maps one cause text to a fault tag and category. Texts sharing
 // no keyword with any tag return Unknown-T / Unknown-C with score 0.
 func (c *Classifier) Classify(text string) Result {
-	tokens := c.tok.Tokens(text)
-	tokenSet := make(map[string]struct{}, len(tokens))
+	return c.classify(c.tok.Tokens(text))
+}
+
+// classify runs the vote over one text's tokens: every distinct token and
+// adjacent-token bigram found in the index adds its weight to each tag it
+// votes for, and the highest score wins under the tie-break policy.
+func (c *Classifier) classify(tokens []string) Result {
+	var scores [len(tagPriority)]int
+	var hitBuf [16]int32
+	hits := hitBuf[:0]
 	for _, t := range tokens {
-		tokenSet[t] = struct{}{}
+		if id, ok := c.index[t]; ok {
+			hits = c.vote(id, 1, hits, &scores)
+		}
 	}
-	bigramSet := make(map[string]struct{}, len(tokens))
+	var buf [64]byte
 	for i := 0; i+1 < len(tokens); i++ {
-		bigramSet[tokens[i]+" "+tokens[i+1]] = struct{}{}
+		bg := append(append(append(buf[:0], tokens[i]...), ' '), tokens[i+1]...)
+		if id, ok := c.index[string(bg)]; ok {
+			hits = c.vote(id, c.opts.BigramWeight, hits, &scores)
+		}
 	}
 
-	best := Result{Tag: ontology.TagUnknownT, Category: ontology.CategoryUnknownC}
-	bestRank := int(^uint(0) >> 1)
-	for _, tag := range tagPriority {
-		uni, ok := c.unigrams[tag]
-		if !ok {
-			continue
-		}
-		var score int
-		var matched []string
-		for kw := range uni {
-			if _, hit := tokenSet[kw]; hit {
-				score++
-				matched = append(matched, kw)
-			}
-		}
-		for kw := range c.bigrams[tag] {
-			if _, hit := bigramSet[kw]; hit {
-				score += c.opts.BigramWeight
-				matched = append(matched, kw)
-			}
-		}
+	win, winRank := -1, 0
+	for pos, tag := range tagPriority {
+		score := scores[pos]
 		if score == 0 {
 			continue
 		}
-		rank := priorityRank(tag)
+		rank := pos
 		if c.opts.TieBreak == TieBreakFirstMatch {
 			rank = int(tag)
 		}
-		if score > best.Score || (score == best.Score && rank < bestRank) {
-			sort.Strings(matched)
-			best = Result{
-				Tag:      tag,
-				Category: ontology.CategoryOf(tag),
-				Score:    score,
-				Matched:  matched,
-			}
-			bestRank = rank
+		if win < 0 || score > scores[win] || (score == scores[win] && rank < winRank) {
+			win, winRank = pos, rank
 		}
 	}
-	return best
+	if win < 0 {
+		return Result{Tag: ontology.TagUnknownT, Category: ontology.CategoryUnknownC}
+	}
+	res := Result{
+		Tag:      tagPriority[win],
+		Category: ontology.CategoryOf(tagPriority[win]),
+		Score:    scores[win],
+	}
+	for _, id := range hits {
+		if kw := &c.keywords[id]; hasPos(kw.tags, win) {
+			res.Matched = append(res.Matched, kw.text)
+		}
+	}
+	sort.Strings(res.Matched)
+	return res
+}
+
+// vote adds weight to the score of every tag keyword id votes for, unless
+// id already voted for this text, and returns the updated hit list.
+func (c *Classifier) vote(id int32, weight int, hits []int32, scores *[len(tagPriority)]int) []int32 {
+	for _, h := range hits {
+		if h == id {
+			return hits
+		}
+	}
+	for _, pos := range c.keywords[id].tags {
+		scores[pos] += weight
+	}
+	return append(hits, id)
 }
 
 // ClassifyAll maps each text through Classify, fanning the work out across
@@ -194,40 +248,63 @@ func (c *Classifier) ClassifyAll(texts []string) []Result {
 }
 
 // ClassifyAllConcurrent maps each text through Classify with a bounded
-// number of workers, sharding the input range into contiguous chunks.
+// number of workers. Each distinct text is classified once, the distinct
+// texts are sharded into contiguous chunks, and the results fan back out
+// in input order; equal texts share one Result, Matched slice included.
 // Workers <= 0 selects GOMAXPROCS; workers == 1 runs sequentially. Results
 // are identical at any worker count.
 func (c *Classifier) ClassifyAllConcurrent(texts []string, workers int) []Result {
+	uniq, _, slot := distinct(texts)
+	res := make([]Result, len(uniq))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(texts) {
-		workers = len(texts)
+	if workers > len(uniq) {
+		workers = len(uniq)
+	}
+	if workers <= 1 {
+		for i, t := range uniq {
+			res[i] = c.Classify(t)
+		}
+	} else {
+		chunk := (len(uniq) + workers - 1) / workers
+		var wg sync.WaitGroup
+		for lo := 0; lo < len(uniq); lo += chunk {
+			hi := min(lo+chunk, len(uniq))
+			wg.Add(1)
+			go func(lo, hi int) {
+				defer wg.Done()
+				for i := lo; i < hi; i++ {
+					res[i] = c.Classify(uniq[i])
+				}
+			}(lo, hi)
+		}
+		wg.Wait()
 	}
 	out := make([]Result, len(texts))
-	if workers <= 1 {
-		for i, t := range texts {
-			out[i] = c.Classify(t)
-		}
-		return out
+	for i, s := range slot {
+		out[i] = res[s]
 	}
-	chunk := (len(texts) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(texts); lo += chunk {
-		hi := lo + chunk
-		if hi > len(texts) {
-			hi = len(texts)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = c.Classify(texts[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return out
+}
+
+// distinct returns the distinct texts in first-occurrence order, how many
+// times each occurs, and for every input the index of its distinct text.
+func distinct(texts []string) (uniq []string, count []int, slot []int) {
+	index := make(map[string]int)
+	slot = make([]int, len(texts))
+	for i, t := range texts {
+		s, ok := index[t]
+		if !ok {
+			s = len(uniq)
+			index[t] = s
+			uniq = append(uniq, t)
+			count = append(count, 0)
+		}
+		count[s]++
+		slot[i] = s
+	}
+	return uniq, count, slot
 }
 
 // ExpandOptions configures dictionary expansion passes.
@@ -262,8 +339,26 @@ func (o ExpandOptions) withDefaults() ExpandOptions {
 // concentrated in one tag's texts into that tag's phrase list. It returns
 // the expanded dictionary (the input is not modified) and the number of
 // phrases added.
+//
+// The corpus is tokenized once. Each pass classifies each distinct text
+// once and weights its bigram counts by the number of times the text
+// occurs, which counts exactly what classifying every copy would.
 func Expand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (*Dictionary, int, error) {
 	eo = eo.withDefaults()
+	tok := &Tokenizer{Stem: opts.Stem}
+	texts, mult, _ := distinct(corpus)
+	tokens := make([][]string, len(texts))
+	bigrams := make([][]string, len(texts))
+	// totals counts every bigram occurrence across the corpus; it does not
+	// depend on the dictionary, so all passes share it.
+	totals := make(map[string]int)
+	for i, text := range texts {
+		tokens[i] = tok.Tokens(text)
+		bigrams[i] = bigramsOf(tokens[i])
+		for _, bg := range bigrams[i] {
+			totals[bg] += mult[i]
+		}
+	}
 	out := dict.Clone()
 	added := 0
 	for pass := 0; pass < eo.Passes; pass++ {
@@ -273,20 +368,18 @@ func Expand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (
 		}
 		// bigram -> tag -> count over texts assigned to that tag.
 		counts := make(map[string]map[ontology.Tag]int)
-		totals := make(map[string]int)
-		for _, text := range corpus {
-			res := cls.Classify(text)
-			for _, bg := range cls.tok.Bigrams(text) {
-				totals[bg]++
-				if res.Tag == ontology.TagUnknownT {
-					continue
-				}
+		for i := range texts {
+			res := cls.classify(tokens[i])
+			if res.Tag == ontology.TagUnknownT {
+				continue
+			}
+			for _, bg := range bigrams[i] {
 				m := counts[bg]
 				if m == nil {
 					m = make(map[ontology.Tag]int)
 					counts[bg] = m
 				}
-				m[res.Tag]++
+				m[res.Tag] += mult[i]
 			}
 		}
 		// Promote concentrated bigrams not already known, deterministically.
@@ -310,7 +403,7 @@ func Expand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (
 			if float64(bestCount)/float64(totals[bg]) < eo.MinConcentration {
 				continue
 			}
-			if _, known := cls.bigrams[bestTag][bg]; known {
+			if cls.votesFor(bg, bestTag) {
 				continue
 			}
 			out.AddBigramOnly(bestTag, bg)

@@ -1,12 +1,19 @@
 package nlp
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"avfda/internal/ocr"
 	"avfda/internal/ontology"
+	"avfda/internal/parse"
+	"avfda/internal/scandoc"
+	"avfda/internal/synth"
 )
 
 func TestPorterStemKnownPairs(t *testing.T) {
@@ -436,5 +443,295 @@ func TestClassifierMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(48))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refClassifier is the per-tag keyword scan the compiled index replaced,
+// kept as the reference the equivalence tests hold Classifier to.
+type refClassifier struct {
+	tok      *Tokenizer
+	opts     Options
+	unigrams map[ontology.Tag]map[string]struct{}
+	bigrams  map[ontology.Tag]map[string]struct{}
+}
+
+func newRefClassifier(dict *Dictionary, opts Options) *refClassifier {
+	if opts.BigramWeight <= 0 {
+		opts.BigramWeight = 2
+	}
+	if opts.TieBreak == 0 {
+		opts.TieBreak = TieBreakPriority
+	}
+	c := &refClassifier{
+		tok:      &Tokenizer{Stem: opts.Stem},
+		opts:     opts,
+		unigrams: make(map[ontology.Tag]map[string]struct{}),
+		bigrams:  make(map[ontology.Tag]map[string]struct{}),
+	}
+	for _, tag := range dict.Tags() {
+		uni := make(map[string]struct{})
+		bi := make(map[string]struct{})
+		for _, phrase := range dict.Phrases(tag) {
+			toks := c.tok.Tokens(phrase)
+			for _, t := range toks {
+				uni[t] = struct{}{}
+			}
+			for i := 0; i+1 < len(toks); i++ {
+				bi[toks[i]+" "+toks[i+1]] = struct{}{}
+			}
+		}
+		for _, phrase := range dict.BigramOnlyPhrases(tag) {
+			toks := c.tok.Tokens(phrase)
+			for i := 0; i+1 < len(toks); i++ {
+				bi[toks[i]+" "+toks[i+1]] = struct{}{}
+			}
+		}
+		c.unigrams[tag] = uni
+		c.bigrams[tag] = bi
+	}
+	return c
+}
+
+func (c *refClassifier) Classify(text string) Result {
+	tokens := c.tok.Tokens(text)
+	tokenSet := make(map[string]struct{}, len(tokens))
+	for _, t := range tokens {
+		tokenSet[t] = struct{}{}
+	}
+	bigramSet := make(map[string]struct{}, len(tokens))
+	for i := 0; i+1 < len(tokens); i++ {
+		bigramSet[tokens[i]+" "+tokens[i+1]] = struct{}{}
+	}
+	best := Result{Tag: ontology.TagUnknownT, Category: ontology.CategoryUnknownC}
+	bestRank := int(^uint(0) >> 1)
+	for pos, tag := range tagPriority {
+		uni, ok := c.unigrams[tag]
+		if !ok {
+			continue
+		}
+		var score int
+		var matched []string
+		for kw := range uni {
+			if _, hit := tokenSet[kw]; hit {
+				score++
+				matched = append(matched, kw)
+			}
+		}
+		for kw := range c.bigrams[tag] {
+			if _, hit := bigramSet[kw]; hit {
+				score += c.opts.BigramWeight
+				matched = append(matched, kw)
+			}
+		}
+		if score == 0 {
+			continue
+		}
+		rank := pos
+		if c.opts.TieBreak == TieBreakFirstMatch {
+			rank = int(tag)
+		}
+		if score > best.Score || (score == best.Score && rank < bestRank) {
+			sort.Strings(matched)
+			best = Result{
+				Tag:      tag,
+				Category: ontology.CategoryOf(tag),
+				Score:    score,
+				Matched:  matched,
+			}
+			bestRank = rank
+		}
+	}
+	return best
+}
+
+// refExpand is Expand before it worked per distinct text: every pass
+// counts every corpus text with refClassifier. Each text's classification
+// and bigrams are memoized only to keep the test fast; both are pure
+// functions of the text, so the counts are those of processing each copy.
+func refExpand(dict *Dictionary, corpus []string, opts Options, eo ExpandOptions) (*Dictionary, int) {
+	eo = eo.withDefaults()
+	out := dict.Clone()
+	added := 0
+	type seen struct {
+		res     Result
+		bigrams []string
+	}
+	for pass := 0; pass < eo.Passes; pass++ {
+		cls := newRefClassifier(out, opts)
+		memo := make(map[string]seen)
+		counts := make(map[string]map[ontology.Tag]int)
+		totals := make(map[string]int)
+		for _, text := range corpus {
+			m, ok := memo[text]
+			if !ok {
+				m = seen{cls.Classify(text), cls.tok.Bigrams(text)}
+				memo[text] = m
+			}
+			for _, bg := range m.bigrams {
+				totals[bg]++
+				if m.res.Tag == ontology.TagUnknownT {
+					continue
+				}
+				c := counts[bg]
+				if c == nil {
+					c = make(map[ontology.Tag]int)
+					counts[bg] = c
+				}
+				c[m.res.Tag]++
+			}
+		}
+		candidates := make([]string, 0, len(counts))
+		for bg := range counts {
+			candidates = append(candidates, bg)
+		}
+		sort.Strings(candidates)
+		passAdded := 0
+		for _, bg := range candidates {
+			if totals[bg] < eo.MinCount {
+				continue
+			}
+			var bestTag ontology.Tag
+			bestCount := 0
+			for tag, n := range counts[bg] {
+				if n > bestCount || (n == bestCount && tag < bestTag) {
+					bestTag, bestCount = tag, n
+				}
+			}
+			if float64(bestCount)/float64(totals[bg]) < eo.MinConcentration {
+				continue
+			}
+			if _, known := cls.bigrams[bestTag][bg]; known {
+				continue
+			}
+			out.AddBigramOnly(bestTag, bg)
+			passAdded++
+		}
+		added += passAdded
+		if passAdded == 0 {
+			break
+		}
+	}
+	return out, added
+}
+
+// recoveredCauses returns the disengagement causes Stage II recovers for a
+// study seed: the synthetic corpus rendered, OCR-decoded with the study's
+// noise seed and parsed, as pipeline.Run does for that seed.
+func recoveredCauses(t *testing.T, seed int64) []string {
+	t.Helper()
+	truth, err := synth.Generate(synth.Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ocr.DefaultConfig()
+	cfg.Seed = seed
+	engine, err := ocr.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := engine.DecodeAllConcurrent(context.Background(), scandoc.Render(&truth.Corpus), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := make([]parse.Input, 0, len(decoded))
+	for _, d := range decoded {
+		inputs = append(inputs, parse.Input{DocID: d.DocID, Lines: d.Lines})
+	}
+	corpus, _, err := parse.ParseConcurrent(inputs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	causes := make([]string, len(corpus.Disengagements))
+	for i, d := range corpus.Disengagements {
+		causes[i] = d.Cause
+	}
+	if len(causes) < 5000 {
+		t.Fatalf("seed %d recovered only %d causes", seed, len(causes))
+	}
+	return causes
+}
+
+// equivalenceOptions spans every classifier knob: stemming on and off,
+// both tie-breaks and bigram weights 1 to 3.
+func equivalenceOptions() []Options {
+	var out []Options
+	for _, stem := range []bool{true, false} {
+		for _, tb := range []TieBreak{TieBreakPriority, TieBreakFirstMatch} {
+			for w := 1; w <= 3; w++ {
+				out = append(out, Options{Stem: stem, TieBreak: tb, BigramWeight: w})
+			}
+		}
+	}
+	return out
+}
+
+// TestCompiledClassifierMatchesReference holds the compiled index to the
+// per-tag scan on real recovered causes: every Result, Matched order
+// included, and every expanded dictionary must be identical.
+func TestCompiledClassifierMatchesReference(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	causes := make([][]string, len(seeds))
+	var all []string
+	for i, seed := range seeds {
+		causes[i] = recoveredCauses(t, seed)
+		all = append(all, causes[i]...)
+	}
+	// Texts that repeat keywords, tie across tags or match nothing.
+	all = append(all,
+		"", "the and of driver",
+		"software crash software crash software crash",
+		"watchdog error watchdog timer watchdog error",
+		"software crash watchdog error",
+		"sensor dropout software hang gps localization lost",
+		"construction zone recognition system error construction zone",
+		"planners produced infeasible paths")
+	// The seed and truncated dictionaries do not depend on the corpus, so
+	// they are checked once over every distinct cause of every seed.
+	union, _, _ := distinct(all)
+	for _, opts := range equivalenceOptions() {
+		name := fmt.Sprintf("stem-%t/tie-%d/bigram-%d", opts.Stem, opts.TieBreak, opts.BigramWeight)
+		t.Run(name, func(t *testing.T) {
+			checkClassifier(t, "seed", SeedDictionary(), opts, union)
+			checkClassifier(t, "truncate-2", SeedDictionary().Truncate(2), opts, union)
+			for i, seed := range seeds {
+				expanded, added, err := Expand(SeedDictionary(), causes[i], opts, ExpandOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantAdded := refExpand(SeedDictionary(), causes[i], opts, ExpandOptions{})
+				if added != wantAdded || !reflect.DeepEqual(expanded, want) {
+					t.Fatalf("seed %d: Expand added %d phrases (size %d), reference %d (size %d)",
+						seed, added, expanded.Size(), wantAdded, want.Size())
+				}
+				checkClassifier(t, fmt.Sprintf("seed-%d expanded", seed), expanded, opts, causes[i])
+			}
+		})
+	}
+}
+
+// checkClassifier compares Classify on each distinct text, and
+// ClassifyAllConcurrent on every text, with the reference scan.
+func checkClassifier(t *testing.T, name string, dict *Dictionary, opts Options, texts []string) {
+	t.Helper()
+	cls, err := NewClassifier(dict, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefClassifier(dict, opts)
+	uniq, _, _ := distinct(texts)
+	want := make(map[string]Result, len(uniq))
+	for _, text := range uniq {
+		want[text] = ref.Classify(text)
+		if got := cls.Classify(text); !reflect.DeepEqual(got, want[text]) {
+			t.Fatalf("%s: Classify(%q) = %+v, reference %+v", name, text, got, want[text])
+		}
+	}
+	for i, got := range cls.ClassifyAllConcurrent(texts, 2) {
+		if !reflect.DeepEqual(got, want[texts[i]]) {
+			t.Fatalf("%s: ClassifyAllConcurrent[%d] = %+v, reference %+v", name, i, got, want[texts[i]])
+		}
 	}
 }

@@ -83,7 +83,12 @@ func (t *Tokenizer) TokenSet(text string) map[string]struct{} {
 // Bigrams returns adjacent-token pairs joined by a space, computed over the
 // token sequence (post stopword removal).
 func (t *Tokenizer) Bigrams(text string) []string {
-	toks := t.Tokens(text)
+	return bigramsOf(t.Tokens(text))
+}
+
+// bigramsOf joins each pair of adjacent tokens with a space; it returns nil
+// for fewer than two tokens.
+func bigramsOf(toks []string) []string {
 	if len(toks) < 2 {
 		return nil
 	}

@@ -1,7 +1,9 @@
 package parse
 
 import (
+	"bytes"
 	"strings"
+	"unicode/utf8"
 
 	"avfda/internal/schema"
 )
@@ -70,31 +72,69 @@ func cleanNumeric(s string) string {
 // lookalikes back to letters (0→O, 1→I, 5→S, 8→B, 2→Z, 6→G), then an exact
 // substring match runs on the line head — O(n) per line, robust to the
 // substitutions the noise model produces, and still correct when a line
-// merge glued the marker to the following data row.
+// merge glued the marker to the following data row. An ASCII head, the
+// common case, is normalized in a stack buffer without allocating.
 func isSectionMarker(line, phrase string) bool {
 	head := line
 	if len(head) > 64 {
 		head = head[:64]
 	}
-	norm := strings.Map(func(r rune) rune {
-		switch r {
-		case '0':
-			return 'O'
-		case '1':
-			return 'I'
-		case '5':
-			return 'S'
-		case '8':
-			return 'B'
-		case '2':
-			return 'Z'
-		case '6':
-			return 'G'
-		default:
-			return r
+	var buf [64]byte
+	for i := 0; i < len(head); i++ {
+		c := head[i]
+		if c >= utf8.RuneSelf {
+			// Case mapping of other runes can yield ASCII (ı→I, ſ→S).
+			return strings.Contains(strings.Map(undoDigitLookalike, strings.ToUpper(head)), phrase)
 		}
-	}, strings.ToUpper(head))
-	return strings.Contains(norm, phrase)
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = byte(undoDigitLookalike(rune(c)))
+	}
+	return bytes.Contains(buf[:len(head)], []byte(phrase))
+}
+
+// hasUpperPrefix reports whether the upper-cased line starts with prefix,
+// an upper-case ASCII string. It allocates only when the line's head is
+// not ASCII.
+func hasUpperPrefix(line, prefix string) bool {
+	for i := 0; i < len(prefix); i++ {
+		if i == len(line) {
+			return false
+		}
+		c := line[i]
+		if c >= utf8.RuneSelf {
+			return strings.HasPrefix(strings.ToUpper(line), prefix)
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != prefix[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// undoDigitLookalike maps a digit the OCR noise substitutes for a capital
+// back to that capital.
+func undoDigitLookalike(r rune) rune {
+	switch r {
+	case '0':
+		return 'O'
+	case '1':
+		return 'I'
+	case '5':
+		return 'S'
+	case '8':
+		return 'B'
+	case '2':
+		return 'Z'
+	case '6':
+		return 'G'
+	default:
+		return r
+	}
 }
 
 // vehicleRegistry canonicalizes OCR-damaged vehicle identifiers within one
@@ -225,7 +265,8 @@ func fuzzyContains(text, needle string) bool {
 }
 
 // levenshtein computes the edit distance between a and b with the standard
-// two-row dynamic program.
+// two-row dynamic program. The rows live on the stack when b is short, as
+// every needle the parser matches is.
 func levenshtein(a, b string) int {
 	if len(a) == 0 {
 		return len(b)
@@ -233,8 +274,12 @@ func levenshtein(a, b string) int {
 	if len(b) == 0 {
 		return len(a)
 	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
+	var prevBuf, curBuf [32]int
+	prev, cur := prevBuf[:0], curBuf[:0]
+	if len(b) >= len(prevBuf) {
+		prev, cur = make([]int, 0, len(b)+1), make([]int, 0, len(b)+1)
+	}
+	prev, cur = prev[:len(b)+1], cur[:len(b)+1]
 	for j := range prev {
 		prev[j] = j
 	}

@@ -168,8 +168,7 @@ func parseDisengagementDoc(in Input, corpus *schema.Corpus, rep *Report) {
 		case isSectionMarker(line, "DISENGAGEMENT EVENTS"):
 			section = 2
 			continue
-		case strings.HasPrefix(strings.ToUpper(line), "VEHICLE |"),
-			strings.HasPrefix(strings.ToUpper(line), "DATE TIME |"):
+		case hasUpperPrefix(line, "VEHICLE |"), hasUpperPrefix(line, "DATE TIME |"):
 			continue // column header rows
 		}
 		switch section {

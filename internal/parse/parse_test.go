@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -345,6 +346,146 @@ func TestLevenshtein(t *testing.T) {
 	for _, c := range cases {
 		if got := levenshtein(c.a, c.b); got != c.want {
 			t.Errorf("levenshtein(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// refIsSectionMarker is isSectionMarker before its ASCII fast path.
+func refIsSectionMarker(line, phrase string) bool {
+	head := line
+	if len(head) > 64 {
+		head = head[:64]
+	}
+	norm := strings.Map(func(r rune) rune {
+		switch r {
+		case '0':
+			return 'O'
+		case '1':
+			return 'I'
+		case '5':
+			return 'S'
+		case '8':
+			return 'B'
+		case '2':
+			return 'Z'
+		case '6':
+			return 'G'
+		default:
+			return r
+		}
+	}, strings.ToUpper(head))
+	return strings.Contains(norm, phrase)
+}
+
+// refLevenshtein is levenshtein before its rows moved to the stack.
+func refLevenshtein(a, b string) int {
+	if len(a) == 0 {
+		return len(b)
+	}
+	if len(b) == 0 {
+		return len(a)
+	}
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(b)]
+}
+
+func TestIsSectionMarkerMatchesReference(t *testing.T) {
+	pad := strings.Repeat("x", 60)
+	lines := []string{
+		"",
+		"MILES BY VEHICLE",
+		"Miles by Vehicle",
+		"miles BY vehicle (autonomous)",
+		"MILE5 BY VEHICLE",
+		"M1LES 8Y VEH1CLE",
+		"DI5ENGAGEMENT EVENT5 2016",
+		"dI5eNgAgEmEnT eVeNt5",
+		"MILES BY VEHICLEcar01 2016-01 123.4",
+		"MILES BY",
+		"disengagement events",
+		// The marker straddles, ends at and starts past byte 64.
+		strings.Repeat(" ", 56) + "MILES BY VEHICLE",
+		strings.Repeat(" ", 48) + "MILES BY VEHICLE" + pad,
+		strings.Repeat(" ", 64) + "MILES BY VEHICLE",
+		"DISENGAGEMENT EVENTS " + pad + pad,
+		// Non-ASCII heads: case mapping of ı and ſ yields I and S.
+		"DıSENGAGEMENT EVENTſ",
+		"MıLES BY VEHıCLE",
+		"Überblick MILES BY VEHICLE",
+		// A two-byte rune straddling byte 64 is cut by the head.
+		strings.Repeat("a", 63) + "é MILES BY VEHICLE",
+		"MILES BY VEHICLE" + strings.Repeat("b", 47) + "ı",
+		"MILES BY VEHICLE" + strings.Repeat("b", 47) + "é",
+		strings.Repeat("1", 63) + "ſ",
+		"\xff\xfeMILES BY VEHICLE",
+	}
+	phrases := []string{"MILES BY VEHICLE", "DISENGAGEMENT EVENTS", "", "S", "EVENTS ZO16"}
+	for _, line := range lines {
+		for _, phrase := range phrases {
+			if got, want := isSectionMarker(line, phrase), refIsSectionMarker(line, phrase); got != want {
+				t.Errorf("isSectionMarker(%q, %q) = %t, reference %t", line, phrase, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []rune("MILESBYVEHICLEDISNGAMTV 01258 6abcdıſé")
+	for i := 0; i < 2000; i++ {
+		r := make([]rune, rng.Intn(80))
+		for j := range r {
+			r[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		line := string(r)
+		for _, phrase := range phrases {
+			if got, want := isSectionMarker(line, phrase), refIsSectionMarker(line, phrase); got != want {
+				t.Fatalf("isSectionMarker(%q, %q) = %t, reference %t", line, phrase, got, want)
+			}
+		}
+	}
+}
+
+func TestHasUpperPrefixMatchesReference(t *testing.T) {
+	lines := []string{
+		"", "VEHICLE", "VEHICLE |", "Vehicle | Month | Miles", "vehicle|",
+		"DATE TIME | CAUSE", "date time |", "Date  Time |", "DATE TIME",
+		"vehıcle | month", "ıVEHICLE |", "VEHİCLE |", "DATE TIMEé |",
+		"éVEHICLE |", "VEHICLE |é", "\xffVEHICLE |",
+	}
+	for _, line := range lines {
+		for _, prefix := range []string{"VEHICLE |", "DATE TIME |", ""} {
+			want := strings.HasPrefix(strings.ToUpper(line), prefix)
+			if got := hasUpperPrefix(line, prefix); got != want {
+				t.Errorf("hasUpperPrefix(%q, %q) = %t, reference %t", line, prefix, got, want)
+			}
+		}
+	}
+}
+
+func TestLevenshteinMatchesReference(t *testing.T) {
+	words := []string{
+		"", "a", "COLLISION", "COLL1SION", "DISENGAGEMENT", "OL 316",
+		"report of traffic collision involving an autonomous vehicle",
+		strings.Repeat("ab", 15) + "c", strings.Repeat("ab", 16), strings.Repeat("ba", 17),
+	}
+	for _, a := range words {
+		for _, b := range words {
+			if got, want := levenshtein(a, b), refLevenshtein(a, b); got != want {
+				t.Errorf("levenshtein(%q, %q) = %d, reference %d", a, b, got, want)
+			}
 		}
 	}
 }

@@ -4,7 +4,8 @@
 //	                             to scanned documents (package scandoc)
 //	Stage II  digitization     — OCR with noise + manual fallback (ocr),
 //	                             parsing/normalization (parse)
-//	Stage III NLP              — failure dictionary + voting classifier
+//	Stage III NLP              — failure dictionary compiled into a
+//	                             keyword→tag index + voting classifier
 //	                             (nlp), optionally corpus-expanded
 //	Stage IV  analysis         — consolidated failure DB (core)
 //
@@ -19,14 +20,25 @@
 // Config.Workers (<= 0 selects GOMAXPROCS, 1 forces sequential execution):
 // OCR decoding (ocr.DecodeAllConcurrent), parsing (parse.ParseConcurrent,
 // one worker per document), and cause classification
-// (nlp.Classifier.ClassifyAllConcurrent, contiguous shards of the cause
-// list). Every parallel step is deterministic by construction — OCR noise
-// is derived per document, documents parse into private fragments merged
-// in input order, and the classifier is read-only after construction — so
-// pipeline output is byte-identical for any worker count and any seed.
-// Dictionary expansion and the final consolidation remain sequential:
-// expansion is an iterated global fixpoint and consolidation is a cheap
-// ordered assembly.
+// (nlp.Classifier.ClassifyAllConcurrent, contiguous shards of the distinct
+// cause texts). Every parallel step is deterministic by construction — OCR
+// noise is derived per document, documents parse into private fragments
+// merged in input order, and the classifier is read-only after
+// construction — so pipeline output is byte-identical for any worker
+// count and any seed.
+//
+// Stage III works per distinct cause text: a study's ~5.3k causes hold
+// only a few hundred distinct texts. Dictionary expansion tokenizes each
+// distinct text once, and each of its passes classifies each distinct text
+// once, weighting the text's bigram counts by how often it occurs;
+// classification then tags each distinct text once and fans the tags back
+// out in input order. Each classification walks only the text's own tokens
+// and bigrams through the compiled index, so its cost does not grow with
+// the dictionary. Expansion runs sequentially because it is an iterated
+// global fixpoint; over distinct texts it takes a few milliseconds per
+// study. Final consolidation is a cheap ordered assembly that
+// copies each distinct string once, so a built database holds no
+// reference to the decoded OCR pages.
 package pipeline
 
 import (

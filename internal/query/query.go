@@ -202,7 +202,7 @@ type Engine struct {
 	mdb    *core.DB
 	mdbErr error
 
-	f         *frame.Frame // set by New/NewFromFrame; else materialized lazily
+	f         *frame.Frame // set by NewFromFrame; else materialized lazily
 	frameOnce sync.Once
 	mframe    *frame.Frame
 	mframeErr error
@@ -245,21 +245,43 @@ func (s *sliceSource) ManufacturerIDs(key string) []int { return s.byMfr[key] }
 func (s *sliceSource) TagIDs(key string) []int          { return s.byTag[key] }
 func (s *sliceSource) CategoryIDs(key string) []int     { return s.byCategory[key] }
 
-// New builds an engine over the database's events (via EventsFrame).
+// New builds an engine over the database's events. Its columns hold the
+// string forms core.DB.EventsFrame renders, read straight off the events;
+// the dataframe itself is materialized only when a frame fallback first
+// needs it.
 func New(db *core.DB) (*Engine, error) {
 	if db == nil {
 		return nil, errors.New("query: nil database")
 	}
-	f, err := db.EventsFrame()
-	if err != nil {
-		return nil, fmt.Errorf("query: %w", err)
+	n := len(db.Events)
+	s := &sliceSource{
+		mfr:      make([]string, n),
+		tag:      make([]string, n),
+		category: make([]string, n),
+		road:     make([]string, n),
+		weather:  make([]string, n),
+		modality: make([]string, n),
+		vehicle:  make([]string, n),
+		year:     make([]string, n),
+		cause:    make([]string, n),
+		reaction: make([]float64, n),
+		times:    make([]time.Time, n),
 	}
-	e, err := NewFromFrame(f)
-	if err != nil {
-		return nil, err
+	for i, ev := range db.Events {
+		s.mfr[i] = string(ev.Manufacturer)
+		s.tag[i] = ev.Tag.String()
+		s.category[i] = ev.Category.String()
+		s.road[i] = ev.Road.String()
+		s.weather[i] = ev.Weather.String()
+		s.modality[i] = ev.Modality.String()
+		s.vehicle[i] = string(ev.Vehicle)
+		s.year[i] = ev.ReportYear.String()
+		s.cause[i] = ev.Cause
+		s.reaction[i] = ev.ReactionSeconds
+		s.times[i] = ev.Time
 	}
-	e.db = db
-	return e, nil
+	s.buildIndexes()
+	return &Engine{src: s, n: n, db: db}, nil
 }
 
 // NewFromFrame builds an engine over an events dataframe (the EventsFrame
@@ -284,10 +306,15 @@ func NewFromFrame(f *frame.Frame) (*Engine, error) {
 		reaction: floatColOrZero(f, "reactionSeconds", n),
 		times:    timeColOrZero(f, "time", n),
 	}
+	s.buildIndexes()
+	return &Engine{src: s, n: n, f: f}, nil
+}
+
+// buildIndexes builds the inverted indexes over the indexed columns.
+func (s *sliceSource) buildIndexes() {
 	s.byMfr = buildIndex(s.mfr)
 	s.byTag = buildIndex(s.tag)
 	s.byCategory = buildIndex(s.category)
-	return &Engine{src: s, n: n, f: f}, nil
 }
 
 // NewFromSource builds an engine directly over a Source — typically a
@@ -331,8 +358,14 @@ func timeColOrZero(f *frame.Frame, name string, n int) []time.Time {
 // buildIndex maps each distinct lower-cased value to its ascending row ids.
 func buildIndex(col []string) map[string][]int {
 	idx := make(map[string][]int)
+	// Columns hold few distinct values; fold each one once.
+	lower := make(map[string]string)
 	for i, v := range col {
-		k := strings.ToLower(v)
+		k, ok := lower[v]
+		if !ok {
+			k = strings.ToLower(v)
+			lower[v] = k
+		}
 		idx[k] = append(idx[k], i)
 	}
 	return idx

@@ -188,7 +188,7 @@ func Decode(data []byte) (*core.DB, error) {
 		}
 	}
 
-	d := decoder{data: payload}
+	d := decoder{data: payload, strs: make(map[string]string)}
 	db := &core.DB{}
 	for i, n := 0, d.count("fleets"); i < n && d.err == nil; i++ {
 		db.Fleets = append(db.Fleets, schema.Fleet{
@@ -197,7 +197,9 @@ func Decode(data []byte) (*core.DB, error) {
 			Cars:         int(d.i64()),
 		})
 	}
-	for i, n := 0, d.count("mileage"); i < n && d.err == nil; i++ {
+	n := d.count("mileage")
+	db.Mileage = preallocate[schema.MonthlyMileage](&d, n, mileageMinBytes)
+	for i := 0; i < n && d.err == nil; i++ {
 		db.Mileage = append(db.Mileage, schema.MonthlyMileage{
 			Manufacturer: schema.Manufacturer(d.str()),
 			Vehicle:      schema.VehicleID(d.str()),
@@ -206,7 +208,9 @@ func Decode(data []byte) (*core.DB, error) {
 			Miles:        d.f64(),
 		})
 	}
-	for i, n := 0, d.count("events"); i < n && d.err == nil; i++ {
+	n = d.count("events")
+	db.Events = preallocate[core.Event](&d, n, eventMinBytes)
+	for i := 0; i < n && d.err == nil; i++ {
 		db.Events = append(db.Events, core.Event{
 			Disengagement: schema.Disengagement{
 				Manufacturer:    schema.Manufacturer(d.str()),
@@ -357,6 +361,9 @@ type decoder struct {
 	data []byte
 	off  int
 	err  error
+	// strs interns decoded strings: a study repeats a few hundred cause
+	// texts and vehicle IDs across thousands of rows.
+	strs map[string]string
 }
 
 // fail records the first error.
@@ -378,6 +385,24 @@ func (d *decoder) take(n int) []byte {
 	b := d.data[d.off : d.off+n]
 	d.off += n
 	return b
+}
+
+// Smallest encoded mileage and event records: every string empty.
+const (
+	mileageMinBytes = 4 + 4 + 8 + 16 + 8
+	eventMinBytes   = 4 + 4 + 8 + 16 + 4 + 3*8 + 8 + 2*8
+)
+
+// preallocate returns room for n records of at least minBytes encoded
+// bytes each, capped by what the remaining payload can hold so a corrupt
+// count cannot force a large allocation. It returns nil for no records,
+// as appending to a nil slice would.
+func preallocate[T any](d *decoder, n, minBytes int) []T {
+	n = min(n, (len(d.data)-d.off)/minBytes)
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // count reads a section's record count, bounds-checking it against the
@@ -406,7 +431,7 @@ func (d *decoder) i64() int64 {
 // f64 reads an IEEE-754 float64.
 func (d *decoder) f64() float64 { return math.Float64frombits(uint64(d.i64())) }
 
-// str reads a length-prefixed string.
+// str reads a length-prefixed string, interned.
 func (d *decoder) str() string {
 	b := d.take(4)
 	if b == nil {
@@ -417,7 +442,13 @@ func (d *decoder) str() string {
 		d.fail(fmt.Sprintf("string length %d exceeds remaining payload", n))
 		return ""
 	}
-	return string(d.take(int(n)))
+	b = d.take(int(n))
+	if s, ok := d.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.strs[s] = s
+	return s
 }
 
 // bool reads one byte as a boolean; any value other than 0/1 is corruption.

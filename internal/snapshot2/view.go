@@ -325,7 +325,14 @@ func checkDeltaStream(blob []byte, count, n int) error {
 	rest := blob
 	prev := 0
 	for i := 0; i < count; i++ {
-		delta, w := binary.Uvarint(rest)
+		// Most gaps fit one byte; decode those inline.
+		var delta uint64
+		var w int
+		if len(rest) > 0 && rest[0] < 0x80 {
+			delta, w = uint64(rest[0]), 1
+		} else {
+			delta, w = binary.Uvarint(rest)
+		}
 		if w <= 0 {
 			return fmt.Errorf("bad varint at element %d", i)
 		}
