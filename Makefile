@@ -44,11 +44,10 @@ lint:
 		-flat lint-timings-warm.json -o BENCH_$(BENCH_DATE).json < /dev/null
 	@echo "folded lint timings into BENCH_$(BENCH_DATE).json"
 
-# Short fuzz smoke over both snapshot readers: arbitrary bytes must yield
-# a typed error or a valid DB/view, never a panic (and for v2, never a
-# fault on a mapped page).
+# Short fuzz smoke over the snapshot reader: arbitrary bytes must yield a
+# typed error or a valid view, never a panic and never a fault on a mapped
+# page.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime $(FUZZ_TIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot2Read$$' -fuzztime $(FUZZ_TIME) ./internal/snapshot2
 
 bench:

@@ -3,12 +3,17 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
+	"avfda/internal/core"
 	"avfda/internal/frame"
+	"avfda/internal/ontology"
 	"avfda/internal/query"
+	"avfda/internal/schema"
+	"avfda/internal/snapshot2"
 )
 
 func queryFixture(t *testing.T) *query.Engine {
@@ -236,4 +241,63 @@ func TestJSONOutputs(t *testing.T) {
 	if groups.Groups[0].Key != "Waymo" || groups.Groups[0].Count != 2 {
 		t.Errorf("top group = %+v", groups.Groups[0])
 	}
+}
+
+// TestLoadEngineSnapshotTiers pins loadEngine's single-format order: a v2
+// snapshot in the directory is mapped, a missing one falls back to the
+// pipeline build, and a corrupt one is a hard error rather than a silent
+// rebuild.
+func TestLoadEngineSnapshotTiers(t *testing.T) {
+	dir := t.TempDir()
+	db := &core.DB{Events: []core.Event{{
+		Disengagement: schema.Disengagement{
+			Manufacturer: schema.Waymo, Vehicle: "W1", ReportYear: schema.Report2016,
+			Time: time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC), Cause: "software hang",
+		},
+		Tag:      ontology.TagSoftware,
+		Category: ontology.CategoryOf(ontology.TagSoftware),
+	}}}
+	if _, err := snapshot2.WriteSeed(dir, 7, db); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("mapped", func(t *testing.T) {
+		eng, err := loadEngine(dir, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Len() != 1 {
+			t.Errorf("mapped engine has %d events, want the snapshot's 1", eng.Len())
+		}
+	})
+
+	t.Run("missing", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("full pipeline build in -short mode")
+		}
+		eng, err := loadEngine(dir, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.Len() < 1000 {
+			t.Errorf("built engine has %d events, want a full study", eng.Len())
+		}
+	})
+
+	t.Run("corrupt", func(t *testing.T) {
+		// A bit-flipped copy under another seed, so the file the mapped
+		// case still holds is never rewritten beneath it.
+		data, err := os.ReadFile(snapshot2.Path(dir, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)-1] ^= 1
+		if err := os.WriteFile(snapshot2.Path(dir, 8), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ce *snapshot2.ChecksumError
+		if _, err := loadEngine(dir, 8); !errors.As(err, &ce) {
+			t.Fatalf("corrupt snapshot: got %v, want *snapshot2.ChecksumError", err)
+		}
+	})
 }

@@ -13,30 +13,27 @@ import (
 func TestParse(t *testing.T) {
 	const out = `goos: linux
 goarch: amd64
-pkg: avfda/internal/snapshot
+pkg: avfda/internal/snapshot2
 cpu: some CPU @ 3.00GHz
-BenchmarkSnapshotLoad-8             	     166	   7106071 ns/op
 BenchmarkSnapshotPipelineRebuild-8  	       3	 411447130 ns/op
-BenchmarkSnapshotWrite              	     500	   2000000 ns/op
+BenchmarkSnapshotV2Write            	     500	   2000000 ns/op
 BenchmarkSnapshotV2Load-8           	    5000	    140000 ns/op	  840000 bytes
 BenchmarkFractional-16              	    1000	     123.4 ns/op	   2 B/op
 PASS
-ok  	avfda/internal/snapshot	5.1s
+ok  	avfda/internal/snapshot2	5.1s
 `
 	got, err := parse(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"BenchmarkSnapshotLoad":            7106071,
 		"BenchmarkSnapshotPipelineRebuild": 411447130,
-		"BenchmarkSnapshotWrite":           2000000,
+		"BenchmarkSnapshotV2Write":         2000000,
 		"BenchmarkSnapshotV2Load":          140000,
 		"BenchmarkSnapshotV2Load/bytes":    840000,
 		"BenchmarkFractional":              123.4,
 		"BenchmarkFractional/B_op":         2,
-		// Stable aliases for the pinned v1-vs-v2 cold-load trajectory.
-		"Snapshot/load_ns":  7106071,
+		// Stable aliases for the pinned snapshot cold-load trajectory.
 		"Snapshot2/load_ns": 140000,
 		"Snapshot2/bytes":   840000,
 	}
@@ -84,7 +81,7 @@ func TestRunFoldsLoadReport(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bench := "BenchmarkSnapshotLoad-8 \t 10\t 7106071 ns/op\n"
+	bench := "BenchmarkSnapshotV2Load-8 \t 10\t 140000 ns/op\n"
 	var out strings.Builder
 	if err := run("", "", []string{path}, nil, strings.NewReader(bench), &out); err != nil {
 		t.Fatal(err)
@@ -94,8 +91,8 @@ func TestRunFoldsLoadReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"BenchmarkSnapshotLoad":           7106071,
-		"Snapshot/load_ns":                7106071,
+		"BenchmarkSnapshotV2Load":         140000,
+		"Snapshot2/load_ns":               140000,
 		"ServeLoad/rps":                   250.5,
 		"ServeLoad/requests":              1000,
 		"ServeLoad/cold_requests":         40,

@@ -20,16 +20,21 @@ package lint
 // slow a run down, but it can never change an answer. Findings are stored
 // with module-root-relative filenames and re-anchored on load, so a hit
 // reproduces the cold run's diagnostics byte for byte.
+//
+// The package listing those keys are computed from is memoized too (see
+// listModule): it is keyed by everything `go list` reads — toolchain,
+// selection environment, go.mod, and every .go file and directory in the
+// module tree — so a fully warm run starts no subprocess at all.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/token"
+	"io"
+	"io/fs"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -39,6 +44,11 @@ import (
 // cacheSchema versions the entry format itself; bump it when the encoding
 // or key recipe changes.
 const cacheSchema = 1
+
+// listingFile is the memoized package listing inside the cache directory,
+// named apart from the per-package "<key>.json" entries. There is one per
+// cache directory: a listing under a stale key is simply replaced.
+const listingFile = "golist.memo"
 
 // CacheStats reports one cached run's hit/miss split.
 type CacheStats struct {
@@ -77,13 +87,7 @@ func RunCachedTimed(dir, cacheDir string, workers int, analyzers []*Analyzer, pa
 	if err != nil {
 		return nil, nil, CacheStats{}, err
 	}
-	targets, err := goList(dir, append([]string{
-		"-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports"}, patterns...))
-	if err != nil {
-		return nil, nil, CacheStats{}, err
-	}
-	deps, err := goList(dir, append([]string{
-		"-deps", "-test", "-json=ImportPath,Dir,GoFiles,Standard,Imports"}, patterns...))
+	listing, err := listModule(dir, root, cacheDir, patterns)
 	if err != nil {
 		return nil, nil, CacheStats{}, err
 	}
@@ -93,12 +97,18 @@ func RunCachedTimed(dir, cacheDir string, workers int, analyzers []*Analyzer, pa
 		content: map[string]string{},
 		closure: map[string]string{},
 	}
-	// Same test-variant fold as the loader: "pkg [pkg.test]" entries
-	// collapse onto the base path, first (base) entry winning.
-	for _, p := range deps {
-		base, _, _ := strings.Cut(p.ImportPath, " ")
+	// The patterns' own packages are the entries go list did not add as
+	// dependencies; test variants ("pkg [pkg.test]", "pkg.test") are never
+	// targets. For dependency resolution the variants fold onto their base
+	// path, the same fold the loader applies, first (base) entry winning.
+	var targets []listedPkg
+	for _, p := range listing {
+		base, _, variant := strings.Cut(p.ImportPath, " ")
 		if strings.HasSuffix(base, ".test") {
 			continue
+		}
+		if !p.DepOnly && !variant {
+			targets = append(targets, p)
 		}
 		if _, ok := h.listed[base]; ok {
 			continue
@@ -333,9 +343,6 @@ func readCacheEntry(cacheDir, key, root string) ([]Diagnostic, bool) {
 // writeCacheEntry stores one package's findings atomically: temp file in
 // the cache directory, then rename.
 func writeCacheEntry(cacheDir, key, root string, diags []Diagnostic) error {
-	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
-		return fmt.Errorf("lint: cache: %w", err)
-	}
 	e := cacheEntry{Key: key, Findings: make([]cacheFinding, 0, len(diags))}
 	for _, d := range diags {
 		name := d.Pos.Filename
@@ -357,11 +364,20 @@ func writeCacheEntry(cacheDir, key, root string, diags []Diagnostic) error {
 	if err != nil {
 		return err
 	}
+	return writeFileAtomic(cacheDir, key+".json", append(buf, '\n'))
+}
+
+// writeFileAtomic writes one cache file: temp file in the cache directory,
+// then rename, so a concurrent reader sees the old bytes or the new ones.
+func writeFileAtomic(cacheDir, name string, buf []byte) error {
+	if err := os.MkdirAll(cacheDir, 0o755); err != nil {
+		return fmt.Errorf("lint: cache: %w", err)
+	}
 	tmp, err := os.CreateTemp(cacheDir, "entry-*.tmp")
 	if err != nil {
 		return fmt.Errorf("lint: cache: %w", err)
 	}
-	if _, err := tmp.Write(append(buf, '\n')); err != nil {
+	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("lint: cache: %w", err)
@@ -370,26 +386,145 @@ func writeCacheEntry(cacheDir, key, root string, diags []Diagnostic) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("lint: cache: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(cacheDir, key+".json")); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(cacheDir, name)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("lint: cache: %w", err)
 	}
 	return nil
 }
 
-// moduleRootDir resolves the root directory of the module containing dir.
+// moduleRootDir resolves the root directory of the module containing dir:
+// the nearest directory at or above it holding a go.mod.
 func moduleRootDir(dir string) (string, error) {
-	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
+	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return "", fmt.Errorf("lint: go list -m: %v\n%s", err, stderr.String())
+		return "", fmt.Errorf("lint: %w", err)
 	}
-	root := strings.TrimSpace(string(out))
-	if root == "" {
-		return "", fmt.Errorf("lint: go list -m reported no module directory")
+	for d := abs; ; {
+		if st, err := os.Stat(filepath.Join(d, "go.mod")); err == nil && !st.IsDir() {
+			return d, nil
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", fmt.Errorf("lint: no go.mod at or above %s", abs)
+		}
+		d = parent
 	}
-	return root, nil
+}
+
+// moduleListing is the memoized answer of one `go list -deps -test` run.
+type moduleListing struct {
+	Key  string      `json:"key"`
+	Pkgs []listedPkg `json:"pkgs"`
+}
+
+// listModule returns `go list -deps -test` over patterns: the targets
+// (DepOnly false) and everything they reach, test-only dependencies
+// included. The answer is memoized in cacheDir under listingKey, so it is
+// reused until something go list reads changes; an unreadable or stale
+// memo is a miss, never an error.
+func listModule(dir, root, cacheDir string, patterns []string) ([]listedPkg, error) {
+	key, err := listingKey(dir, root, patterns)
+	if err != nil {
+		return nil, err
+	}
+	if buf, err := os.ReadFile(filepath.Join(cacheDir, listingFile)); err == nil {
+		var memo moduleListing
+		if json.Unmarshal(buf, &memo) == nil && memo.Key == key {
+			return memo.Pkgs, nil
+		}
+	}
+	pkgs, err := goList(dir, append([]string{"-deps", "-test",
+		"-json=ImportPath,Dir,DepOnly,Standard,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports"},
+		patterns...))
+	if err != nil {
+		return nil, err
+	}
+	buf, err := json.Marshal(moduleListing{Key: key, Pkgs: pkgs})
+	if err != nil {
+		return nil, err
+	}
+	if err := writeFileAtomic(cacheDir, listingFile, buf); err != nil {
+		return nil, err
+	}
+	return pkgs, nil
+}
+
+// listingKey hashes every input that can change what `go list` answers
+// for patterns run in dir: the toolchain, the environment that steers
+// package selection (GO* variables, CGO_ENABLED, the go env file), the
+// module's go.mod and go.sum, and the name and bytes of every .go file
+// and the name of every directory under the module root. The tree walk
+// skips only dot-directories (.git, the cache itself), which the go tool
+// never matches; hashing a superset of what go list reads costs a little
+// time, never correctness.
+func listingKey(dir, root string, patterns []string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", fmt.Errorf("lint: %w", err)
+	}
+	sum := sha256.New()
+	fmt.Fprintf(sum, "schema %d\ngo %s %s/%s\nroot %s\ndir %s\n",
+		cacheSchema, runtime.Version(), runtime.GOOS, runtime.GOARCH, root, abs)
+	for _, p := range patterns {
+		fmt.Fprintf(sum, "pattern %q\n", p)
+	}
+	var env []string
+	for _, kv := range os.Environ() {
+		if strings.HasPrefix(kv, "GO") || strings.HasPrefix(kv, "CGO_ENABLED=") {
+			env = append(env, kv)
+		}
+	}
+	sort.Strings(env)
+	for _, kv := range env {
+		fmt.Fprintf(sum, "env %q\n", kv)
+	}
+	envFile := os.Getenv("GOENV")
+	if envFile == "" {
+		if cfg, err := os.UserConfigDir(); err == nil {
+			envFile = filepath.Join(cfg, "go", "env")
+		}
+	}
+	for _, f := range []string{envFile, filepath.Join(root, "go.mod"), filepath.Join(root, "go.sum")} {
+		if f == "" || f == "off" {
+			continue
+		}
+		if err := hashFile(sum, f, f); err != nil && !os.IsNotExist(err) {
+			return "", fmt.Errorf("lint: cache: %w", err)
+		}
+	}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		switch {
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir():
+			fmt.Fprintf(sum, "dir %s\n", rel)
+		case strings.HasSuffix(d.Name(), ".go"):
+			return hashFile(sum, path, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		return "", fmt.Errorf("lint: cache: %w", err)
+	}
+	return hex.EncodeToString(sum.Sum(nil)), nil
+}
+
+// hashFile writes one file's name, length and bytes to w.
+func hashFile(w io.Writer, path, name string) error {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "file %s %d\n", name, len(buf))
+	_, err = w.Write(buf)
+	return err
 }

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -172,6 +173,166 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("diagnostics after corruption differ:\ngot:  %v\nwant: %v", got, want)
+	}
+}
+
+// listedImports reads the memoized package listing in cacheDir and
+// returns the imports it records for path.
+func listedImports(t *testing.T, cacheDir, path string) []string {
+	t.Helper()
+	buf, err := os.ReadFile(filepath.Join(cacheDir, "golist.memo"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var memo struct {
+		Pkgs []struct {
+			ImportPath string
+			Imports    []string
+		} `json:"pkgs"`
+	}
+	if err := json.Unmarshal(buf, &memo); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range memo.Pkgs {
+		if p.ImportPath == path {
+			return p.Imports
+		}
+	}
+	t.Fatalf("listing has no %s", path)
+	return nil
+}
+
+// TestCacheListingEditImport: editing an import re-lists the module, so
+// the new edge is in the memo and a later edit to the imported package
+// reaches the importer.
+func TestCacheListingEditImport(t *testing.T) {
+	dir := writeCacheModule(t)
+	cache := filepath.Join(dir, ".lintcache")
+	analyzers := lint.All()
+
+	runCached(t, dir, cache, analyzers) // populate
+	if got := listedImports(t, cache, "cachemod/c"); !reflect.DeepEqual(got, []string{"strings"}) {
+		t.Fatalf("c imports %v before the edit, want [strings]", got)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "c", "c.go"), []byte(`package c
+
+import (
+	"strings"
+
+	"cachemod/b"
+)
+
+func IsTimeout(err error) bool {
+	return b.Answer() > 0 && strings.Contains(err.Error(), "timeout")
+}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, stats := runCached(t, dir, cache, analyzers); !reflect.DeepEqual(stats.MissPaths, []string{"cachemod/c"}) {
+		t.Errorf("after editing c's imports: missed %v, want [cachemod/c]", stats.MissPaths)
+	}
+	if got := listedImports(t, cache, "cachemod/c"); !reflect.DeepEqual(got, []string{"cachemod/b", "strings"}) {
+		t.Errorf("memoized listing has c importing %v, want [cachemod/b strings]", got)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, "b", "b.go"),
+		[]byte("package b\n\nfunc Answer() int { return 43 }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stats := runCached(t, dir, cache, analyzers)
+	if want := []string{"cachemod/a", "cachemod/b", "cachemod/c"}; !reflect.DeepEqual(stats.MissPaths, want) {
+		t.Errorf("after editing b: missed %v, want %v", stats.MissPaths, want)
+	}
+}
+
+// TestCacheListingNewPackage: a package added to the tree is listed and
+// analyzed on the next run instead of being hidden by the memo.
+func TestCacheListingNewPackage(t *testing.T) {
+	dir := writeCacheModule(t)
+	cache := filepath.Join(dir, ".lintcache")
+	analyzers := lint.All()
+
+	runCached(t, dir, cache, analyzers) // populate
+	if err := os.MkdirAll(filepath.Join(dir, "d"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "d", "d.go"),
+		[]byte("package d\n\nfunc Zero() int { return 0 }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stats := runCached(t, dir, cache, analyzers)
+	if !reflect.DeepEqual(stats.MissPaths, []string{"cachemod/d"}) || stats.Hits != 3 {
+		t.Errorf("after adding d: %d hits, missed %v, want 3 hits and [cachemod/d]", stats.Hits, stats.MissPaths)
+	}
+}
+
+// TestCacheListingGOFLAGS: build tags passed through GOFLAGS change which
+// files go list selects, so they must re-list: the tagged file's finding
+// appears instead of the untagged run's entry being served.
+func TestCacheListingGOFLAGS(t *testing.T) {
+	dir := writeCacheModule(t)
+	if err := os.WriteFile(filepath.Join(dir, "c", "extra.go"), []byte(`//go:build extra
+
+package c
+
+import "strings"
+
+func IsCanceled(err error) bool {
+	return strings.Contains(err.Error(), "canceled")
+}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cache := filepath.Join(dir, ".lintcache")
+	analyzers := lint.All()
+	t.Setenv("GOFLAGS", "")
+
+	untagged, _ := runCached(t, dir, cache, analyzers)
+	if _, stats := runCached(t, dir, cache, analyzers); stats.Hits != 3 {
+		t.Fatalf("warm run without tags: %d hits, want 3", stats.Hits)
+	}
+
+	t.Setenv("GOFLAGS", "-tags=extra")
+	tagged, stats := runCached(t, dir, cache, analyzers)
+	if !reflect.DeepEqual(stats.MissPaths, []string{"cachemod/c"}) {
+		t.Errorf("with -tags=extra: missed %v, want [cachemod/c]", stats.MissPaths)
+	}
+	inExtra := func(diags []lint.Diagnostic) bool {
+		for _, d := range diags {
+			if filepath.Base(d.Pos.Filename) == "extra.go" {
+				return true
+			}
+		}
+		return false
+	}
+	if inExtra(untagged) || !inExtra(tagged) {
+		t.Errorf("extra.go findings: untagged %v, tagged %v; want only the tagged run", inExtra(untagged), inExtra(tagged))
+	}
+}
+
+// TestCacheWarmRunStartsNoSubprocess: with the listing memoized, a fully
+// warm run never starts the go tool — it still succeeds with no go on
+// PATH. A corrupt memo is a miss that re-lists, not an error.
+func TestCacheWarmRunStartsNoSubprocess(t *testing.T) {
+	dir := writeCacheModule(t)
+	cache := filepath.Join(dir, ".lintcache")
+	analyzers := lint.All()
+
+	want, _ := runCached(t, dir, cache, analyzers) // populate
+	path := os.Getenv("PATH")
+	t.Setenv("PATH", t.TempDir())
+	got, stats := runCached(t, dir, cache, analyzers)
+	if stats.Hits != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("warm run without go on PATH: %d hits, diagnostics equal %v; want 3 and true", stats.Hits, reflect.DeepEqual(got, want))
+	}
+
+	t.Setenv("PATH", path)
+	if err := os.WriteFile(filepath.Join(cache, "golist.memo"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, stats = runCached(t, dir, cache, analyzers)
+	if stats.Hits != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("run over a corrupt listing memo: %d hits, diagnostics equal %v; want 3 and true", stats.Hits, reflect.DeepEqual(got, want))
 	}
 }
 

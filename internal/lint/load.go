@@ -138,6 +138,7 @@ type listedPkg struct {
 	ImportPath   string
 	Dir          string
 	Export       string
+	DepOnly      bool
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string

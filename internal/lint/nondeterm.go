@@ -38,7 +38,6 @@ var NonDeterm = &Analyzer{
 		"internal/nlp",
 		"internal/core",
 		"internal/synth",
-		"internal/snapshot",
 		"internal/snapshot2",
 	},
 	Run: runNonDeterm,

@@ -4,13 +4,14 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
+	"runtime/debug"
 	"sync"
 	"time"
 
 	"avfda/internal/core"
 	"avfda/internal/query"
-	"avfda/internal/snapshot"
 	"avfda/internal/snapshot2"
 )
 
@@ -18,24 +19,23 @@ import (
 // database plus its query engine. Both are immutable after construction,
 // so a cached study is served to any number of concurrent requests.
 type Study struct {
-	// DB is the in-heap database for built and v1-loaded studies; it is
-	// nil for studies served from a mapped v2 snapshot, whose engine
-	// materializes tables lazily. Callers that need the database should go
-	// through Database.
+	// DB is the in-heap database for built studies; it is nil for studies
+	// served from a mapped snapshot, whose engine materializes tables
+	// lazily. Callers that need the database should go through Database.
 	DB     *core.DB
 	Engine *query.Engine
-	// ETag is the study's content fingerprint — the CRC-32C of its v2
+	// ETag is the study's content fingerprint — the CRC-32C of its
 	// snapshot payload, lower-case hex, no quotes — set when the study was
-	// mapped from a v2 snapshot or written through as one. Deterministic
+	// mapped from a snapshot or written through as one. Deterministic
 	// encoding makes it identical on every node serving the same seed, so
-	// the HTTP layer derives ETag headers from it. Empty when no v2
-	// snapshot exists for the study (v1 loads, snapshotless builds): those
-	// responses simply carry no validator.
+	// the HTTP layer derives ETag headers from it. Empty when no snapshot
+	// exists for the study (snapshotless builds): those responses simply
+	// carry no validator.
 	ETag string
 }
 
 // Database returns the study's failure database, materializing it from
-// the engine's backing snapshot when the study was loaded as a mapped v2
+// the engine's backing snapshot when the study was loaded as a mapped
 // view (whole-table consumers — the report tables — pay that cost once).
 func (s *Study) Database() (*core.DB, error) {
 	if s.DB != nil {
@@ -48,6 +48,21 @@ func (s *Study) Database() (*core.DB, error) {
 // Stage I-IV pipeline run), which is exactly why the cache exists.
 type BuildFunc func(seed int64) (*Study, error)
 
+// BuildPanicError reports a BuildFunc that panicked instead of returning.
+// The cache recovers the panic so one bad seed cannot take the process
+// down: the flight still closes, nothing is cached, and every waiter gets
+// this error, so a later Get for the seed starts a fresh build.
+type BuildPanicError struct {
+	Seed  int64
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack, from runtime/debug.Stack
+}
+
+// Error implements error.
+func (e *BuildPanicError) Error() string {
+	return fmt.Sprintf("serve: build for seed %d panicked: %v", e.Seed, e.Value)
+}
+
 // CacheStats is a point-in-time snapshot of the cache counters.
 type CacheStats struct {
 	// Hits counts Gets answered from a resident study.
@@ -59,28 +74,21 @@ type CacheStats struct {
 	// concurrent Gets for the same seed). A Get served from the snapshot
 	// tier does not count as a build.
 	Builds int64
+	// BuildPanics counts load-or-build runs that panicked; each was
+	// recovered into a *BuildPanicError.
+	BuildPanics int64
 	// Evictions counts studies dropped to respect the capacity.
 	Evictions int64
-	// Snapshot2Loads counts misses satisfied by mapping a v2 columnar
+	// Snapshot2Loads counts misses satisfied by mapping a columnar
 	// snapshot — the cheapest possible path, no deserialization at all.
 	Snapshot2Loads int64
-	// Snapshot2Writes counts v2 snapshots written through after a
-	// successful pipeline build.
+	// Snapshot2Writes counts snapshots written through after a successful
+	// pipeline build.
 	Snapshot2Writes int64
-	// Snapshot2Rejects counts v2 snapshot files that existed but were
-	// refused (version mismatch, checksum failure, truncation, structural
-	// corruption) and fell back to the v1 tier or a rebuild.
+	// Snapshot2Rejects counts snapshot files that existed but were refused
+	// (version mismatch, checksum failure, truncation, structural
+	// corruption) and fell back to a peer fetch or a rebuild.
 	Snapshot2Rejects int64
-	// SnapshotLoads counts misses satisfied from a legacy v1 snapshot
-	// (deserializing load) after the v2 tier missed.
-	SnapshotLoads int64
-	// SnapshotWrites counts v1 snapshots written through after a
-	// successful pipeline build (only when the v2 tier is disabled).
-	SnapshotWrites int64
-	// SnapshotRejects counts v1 snapshot files that existed but were
-	// refused (version mismatch, checksum failure, truncation) and
-	// triggered a rebuild instead.
-	SnapshotRejects int64
 	// SnapshotFetches counts misses satisfied by pulling the seed's v2
 	// snapshot from a peer (CRC re-verified on receipt) instead of paying
 	// a pipeline rebuild.
@@ -98,14 +106,13 @@ type CacheStats struct {
 
 // Cache is a seed-keyed LRU of built studies with an optional second tier:
 // a directory of persisted study snapshots. A miss walks the tiers from
-// cheapest to dearest — map a v2 columnar snapshot (microseconds, zero
-// deserialization), load a legacy v1 snapshot (milliseconds), run the
-// pipeline (hundreds of milliseconds) — and a successful build is written
-// through (as v2 when the tier is enabled) so the next cold process or
-// post-eviction Get warm-starts. Corrupt or stale-version snapshots are
-// never trusted: they fail the typed checksum/version/format checks in
-// their package, count as rejects for their tier, and are overwritten by
-// the rebuild's write-through.
+// cheapest to dearest — map the seed's columnar snapshot (microseconds,
+// zero deserialization), pull it from a peer, run the pipeline (hundreds
+// of milliseconds) — and a successful build is written through so the
+// next cold process or post-eviction Get warm-starts. Corrupt or
+// stale-version snapshots are never trusted: they fail the typed
+// checksum/version/format checks in snapshot2, count as rejects, and are
+// overwritten by the rebuild's write-through.
 //
 // Concurrent Gets for an absent seed are coalesced singleflight-style:
 // exactly one load-or-build runs and every waiter receives its result. A
@@ -116,7 +123,6 @@ type Cache struct {
 	build   BuildFunc
 	cap     int
 	snapDir string           // "" disables the snapshot tier
-	v2      bool             // serve and write v2 snapshots ahead of the v1 tier
 	fetcher *snapshotFetcher // nil disables the peer pull-through tier
 
 	mu      sync.Mutex
@@ -146,16 +152,9 @@ func NewCache(build BuildFunc, capacity int) (*Cache, error) {
 }
 
 // NewSnapshotCache creates a cache whose misses go through the snapshot
-// directory before the pipeline build, with the v2 (mmap) tier enabled.
-// An empty dir disables snapshots entirely.
+// directory before the pipeline build. An empty dir disables snapshots
+// entirely.
 func NewSnapshotCache(build BuildFunc, capacity int, dir string) (*Cache, error) {
-	return NewTieredCache(build, capacity, dir, true)
-}
-
-// NewTieredCache creates a cache with explicit control over the v2 tier:
-// v2 false restricts the snapshot directory to the legacy v1 format (reads
-// and write-through), for operators staging the v2 rollout.
-func NewTieredCache(build BuildFunc, capacity int, dir string, v2 bool) (*Cache, error) {
 	if build == nil {
 		return nil, errors.New("serve: nil build function")
 	}
@@ -166,7 +165,6 @@ func NewTieredCache(build BuildFunc, capacity int, dir string, v2 bool) (*Cache,
 		build:   build,
 		cap:     capacity,
 		snapDir: dir,
-		v2:      v2,
 		order:   list.New(),
 		entries: make(map[int64]*list.Element),
 		flights: make(map[int64]*flight),
@@ -175,16 +173,16 @@ func NewTieredCache(build BuildFunc, capacity int, dir string, v2 bool) (*Cache,
 
 // SetSnapshotPeers enables the peer pull-through tier: a miss that finds
 // no local snapshot asks each peer base URL in order for the seed's v2
-// snapshot before falling back to a pipeline build. It requires the v2
-// snapshot tier (fetched files are landed in snapDir and then mapped).
+// snapshot before falling back to a pipeline build. It requires a
+// snapshot directory (fetched files are landed in snapDir and then mapped).
 // timeout bounds each peer probe; zero picks a sane default. Call before
 // serving traffic; the peer list is fixed afterwards.
 func (c *Cache) SetSnapshotPeers(peers []string, timeout time.Duration) error {
 	if len(peers) == 0 {
 		return nil
 	}
-	if c.snapDir == "" || !c.v2 {
-		return errors.New("serve: snapshot peers require the v2 snapshot tier")
+	if c.snapDir == "" {
+		return errors.New("serve: snapshot peers require a snapshot directory")
 	}
 	c.fetcher = newSnapshotFetcher(peers, timeout)
 	return nil
@@ -219,57 +217,52 @@ func (c *Cache) Get(ctx context.Context, seed int64) (*Study, error) {
 	}
 }
 
-// run executes one load-or-build and publishes its result.
+// run executes one load-or-build and publishes its result. A panic in
+// the build is recovered into a *BuildPanicError, so the flight still
+// closes, its waiters return and nothing is cached.
 func (c *Cache) run(seed int64, fl *flight) {
-	study, err := c.acquire(seed)
-	fl.study, fl.err = study, err
-
-	c.mu.Lock()
-	delete(c.flights, seed)
-	if err == nil {
-		el := c.order.PushFront(&cacheEntry{seed: seed, study: study})
-		c.entries[seed] = el
-		for c.order.Len() > c.cap {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).seed)
-			c.stats.Evictions++
+	defer func() {
+		v := recover()
+		if v != nil {
+			fl.study, fl.err = nil, &BuildPanicError{Seed: seed, Value: v, Stack: debug.Stack()}
 		}
-	}
-	c.mu.Unlock()
-	close(fl.done)
-}
-
-// acquire produces the study for one coalesced miss: v2 snapshot tier,
-// then v1 snapshot tier, then the pipeline build, with write-through after
-// a successful build.
-func (c *Cache) acquire(seed int64) (*Study, error) {
-	if c.snapDir != "" {
-		if c.v2 {
-			study, err := c.loadSnapshot2(seed)
-			switch {
-			case err == nil:
-				c.bump(&c.stats.Snapshot2Loads)
-				return study, nil
-			case errors.Is(err, fs.ErrNotExist):
-				// Plain tier miss: no v2 file for this seed yet.
-			default:
-				// Present but unusable: never trust it, fall through to
-				// the v1 tier (a pre-migration file may still be good).
-				c.bump(&c.stats.Snapshot2Rejects)
+		c.mu.Lock()
+		delete(c.flights, seed)
+		if v != nil {
+			c.stats.BuildPanics++
+		}
+		if fl.err == nil {
+			el := c.order.PushFront(&cacheEntry{seed: seed, study: fl.study})
+			c.entries[seed] = el
+			for c.order.Len() > c.cap {
+				oldest := c.order.Back()
+				c.order.Remove(oldest)
+				delete(c.entries, oldest.Value.(*cacheEntry).seed)
+				c.stats.Evictions++
 			}
 		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
+	fl.study, fl.err = c.acquire(seed)
+}
+
+// acquire produces the study for one coalesced miss: the snapshot tier,
+// then a peer fetch, then the pipeline build, with write-through after a
+// successful build.
+func (c *Cache) acquire(seed int64) (*Study, error) {
+	if c.snapDir != "" {
 		study, err := c.loadSnapshot(seed)
 		switch {
 		case err == nil:
-			c.bump(&c.stats.SnapshotLoads)
+			c.bump(&c.stats.Snapshot2Loads)
 			return study, nil
 		case errors.Is(err, fs.ErrNotExist):
 			// Plain tier miss: nothing persisted for this seed yet.
 		default:
 			// Present but unusable (bad checksum, old version, truncated,
-			// or an engine rebuild failure): never trust it, rebuild.
-			c.bump(&c.stats.SnapshotRejects)
+			// or structurally corrupt): never trust it, fetch or rebuild.
+			c.bump(&c.stats.Snapshot2Rejects)
 		}
 		if study, ok := c.fetchFromPeer(seed); ok {
 			return study, nil
@@ -283,20 +276,12 @@ func (c *Cache) acquire(seed int64) (*Study, error) {
 	if c.snapDir != "" && study != nil && study.DB != nil {
 		// Write-through replaces whatever was on disk (including a
 		// just-rejected file) via an atomic rename; a write failure only
-		// costs the next cold process a rebuild, so it is not fatal. With
-		// the v2 tier on, the v2 format is the write-through target — v1
-		// files are read for compatibility but no longer produced here.
-		if c.v2 {
-			if crc, err := snapshot2.WriteSeed(c.snapDir, seed, study.DB); err == nil {
-				c.bump(&c.stats.Snapshot2Writes)
-				// The write-through fixes the study's content fingerprint,
-				// so the freshly built study can carry a validator too.
-				study.ETag = etagFromCRC(crc)
-			}
-		} else {
-			if err := snapshot.WriteSeed(c.snapDir, seed, study.DB); err == nil {
-				c.bump(&c.stats.SnapshotWrites)
-			}
+		// costs the next cold process a rebuild, so it is not fatal.
+		if crc, err := snapshot2.WriteSeed(c.snapDir, seed, study.DB); err == nil {
+			c.bump(&c.stats.Snapshot2Writes)
+			// The write-through fixes the study's content fingerprint, so
+			// the freshly built study can carry a validator too.
+			study.ETag = etagFromCRC(crc)
 		}
 	}
 	return study, nil
@@ -320,7 +305,7 @@ func (c *Cache) fetchFromPeer(seed int64) (*Study, bool) {
 		c.bump(&c.stats.SnapshotFetchErrors)
 		return nil, false
 	}
-	study, err := c.loadSnapshot2(seed)
+	study, err := c.loadSnapshot(seed)
 	if err != nil {
 		// The bytes validated before landing, so this is a local problem
 		// (disk full mid-install, concurrent tampering); rebuild.
@@ -331,21 +316,7 @@ func (c *Cache) fetchFromPeer(seed int64) (*Study, bool) {
 	return study, true
 }
 
-// loadSnapshot reads the persisted v1 database for seed and rebuilds its
-// query indexes, yielding a servable study.
-func (c *Cache) loadSnapshot(seed int64) (*Study, error) {
-	db, err := snapshot.ReadSeed(c.snapDir, seed)
-	if err != nil {
-		return nil, err
-	}
-	engine, err := query.New(db)
-	if err != nil {
-		return nil, err
-	}
-	return &Study{DB: db, Engine: engine}, nil
-}
-
-// loadSnapshot2 maps the v2 snapshot for seed and serves queries straight
+// loadSnapshot maps the snapshot for seed and serves queries straight
 // off the mapping: no deserialization, no DB materialization until an
 // endpoint actually needs whole tables. The view is validated end-to-end
 // at open, so a success here is as trustworthy as a fresh build.
@@ -356,7 +327,7 @@ func (c *Cache) loadSnapshot(seed int64) (*Study, error) {
 // referencing the engine drops it — eviction under churn is bounded by
 // cache capacity plus in-flight requests, never by how many seeds have
 // ever been served. TestEvictionChurnMappedViews pins this.
-func (c *Cache) loadSnapshot2(seed int64) (*Study, error) {
+func (c *Cache) loadSnapshot(seed int64) (*Study, error) {
 	v, err := snapshot2.OpenSeed(c.snapDir, seed)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -190,5 +192,68 @@ func TestNewCacheValidation(t *testing.T) {
 	}
 	if c.cap != 1 {
 		t.Errorf("capacity floor = %d, want 1", c.cap)
+	}
+}
+
+// TestBuildPanicRecovered: a build that panics is not a query of death.
+// Every coalesced waiter returns a *BuildPanicError, the HTTP request gets
+// a 500, nothing is cached, the panic is counted, and the retry builds the
+// study.
+func TestBuildPanicRecovered(t *testing.T) {
+	var calls atomic.Int64
+	release := make(chan struct{})
+	good := testBuilder(t, nil, 0)
+	s, err := New(Config{Build: func(seed int64) (*Study, error) {
+		if calls.Add(1) == 1 {
+			<-release
+			panic("boom")
+		}
+		return good(seed)
+	}, CacheSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const waiters = 3
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := s.cache.Get(context.Background(), 1)
+			errs <- err
+		}()
+	}
+	code := make(chan int, 1)
+	go func() {
+		c, _ := get(t, s, "/v1/studies/1/disengagements")
+		code <- c
+	}()
+	for s.CacheStats().Misses < waiters+1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+
+	for i := 0; i < waiters; i++ {
+		var pe *BuildPanicError
+		if err := <-errs; !errors.As(err, &pe) {
+			t.Fatalf("waiter error = %v, want *BuildPanicError", err)
+		} else if pe.Seed != 1 || pe.Value != "boom" || len(pe.Stack) == 0 {
+			t.Errorf("BuildPanicError = seed %d, value %v, %d stack bytes", pe.Seed, pe.Value, len(pe.Stack))
+		}
+	}
+	if c := <-code; c != http.StatusInternalServerError {
+		t.Errorf("request during panicking build: code %d, want 500", c)
+	}
+	if st := s.CacheStats(); st.BuildPanics != 1 || st.Builds != 1 || st.Resident != 0 {
+		t.Errorf("stats after panic = %+v, want BuildPanics 1, Builds 1, Resident 0", st)
+	}
+	if _, body := get(t, s, "/metrics"); !strings.Contains(body, "avserve_cache_build_panics_total 1") {
+		t.Error("/metrics missing avserve_cache_build_panics_total 1")
+	}
+
+	if c, body := get(t, s, "/v1/studies/1/disengagements"); c != http.StatusOK {
+		t.Fatalf("retry: code %d (%s)", c, strings.TrimSpace(body))
+	}
+	if st := s.CacheStats(); calls.Load() != 2 || st.Builds != 2 || st.Resident != 1 {
+		t.Errorf("after retry: calls %d, stats %+v, want 2 builds and 1 resident", calls.Load(), st)
 	}
 }

@@ -227,7 +227,10 @@ func clientIP(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// seedKey hashes a seed onto the ring's keyspace.
+// seedKey hashes a seed onto the ring's keyspace. FNV-1a alone leaves
+// consecutive seeds a small multiple of one constant apart, so a run of
+// seeds would land on one arc of the ring; the splitmix64 finalizer
+// scatters them across the whole keyspace.
 func seedKey(seed int64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -235,7 +238,18 @@ func seedKey(seed int64) uint64 {
 		buf[i] = byte(uint64(seed) >> (8 * i))
 	}
 	_, _ = h.Write(buf[:])
-	return h.Sum64()
+	return mix64(h.Sum64())
+}
+
+// mix64 is the splitmix64 finalizer: a bijection on uint64 in which every
+// input bit affects every output bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // ringVnodes is how many virtual nodes each backend contributes. 64 keeps
@@ -264,7 +278,9 @@ func newHashRing(backends []string) *hashRing {
 		for v := 0; v < ringVnodes; v++ {
 			h := fnv.New64a()
 			_, _ = fmt.Fprintf(h, "%s#%d", b, v)
-			vnodes = append(vnodes, vnode{hash: h.Sum64(), idx: i})
+			// Finished with mix64 for the reason seedKey is: names that
+			// differ only in the vnode suffix would otherwise cluster.
+			vnodes = append(vnodes, vnode{hash: mix64(h.Sum64()), idx: i})
 		}
 	}
 	sort.Slice(vnodes, func(i, j int) bool {

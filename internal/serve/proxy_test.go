@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -88,6 +89,30 @@ func TestRingStabilityAcrossResize(t *testing.T) {
 	}
 	if frac := float64(moved) / seeds; frac > 0.05 {
 		t.Errorf("%.1f%% of surviving seeds remapped on resize; consistent hashing should keep them", 100*frac)
+	}
+}
+
+// TestRingSpreadsConsecutiveSeeds pins the property TestProxyRoutesBySeed
+// relies on, independent of which ports httptest happens to hand out:
+// over a fixed, seeded list of 200 two-backend rings on loopback ports,
+// seeds 0-15 always reach both backends.
+func TestRingSpreadsConsecutiveSeeds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for pair := 0; pair < 200; pair++ {
+		a := 1024 + rng.Intn(64511)
+		b := 1024 + rng.Intn(64511)
+		for b == a {
+			b = 1024 + rng.Intn(64511)
+		}
+		backends := []string{fmt.Sprintf("http://127.0.0.1:%d", a), fmt.Sprintf("http://127.0.0.1:%d", b)}
+		r := newHashRing(backends)
+		used := map[string]bool{}
+		for seed := int64(0); seed < 16; seed++ {
+			used[r.owners(seedKey(seed), 1)[0]] = true
+		}
+		if len(used) != 2 {
+			t.Errorf("ring over %v: seeds 0-15 all landed on %v", backends, used)
+		}
 	}
 }
 

@@ -8,12 +8,11 @@ import (
 	"avfda/internal/core"
 	"avfda/internal/pipeline"
 	"avfda/internal/query"
-	"avfda/internal/snapshot"
 	"avfda/internal/synth"
 )
 
-// buildStudy runs the full Stage I-IV pipeline for a seed — the cost both
-// snapshot tiers exist to avoid.
+// buildStudy runs the full Stage I-IV pipeline for a seed — the cost the
+// snapshot tier exists to avoid.
 func buildStudy(tb testing.TB, seed int64) *core.DB {
 	tb.Helper()
 	cfg := pipeline.DefaultConfig()
@@ -26,8 +25,9 @@ func buildStudy(tb testing.TB, seed int64) *core.DB {
 	return res.DB
 }
 
-// openV2 is the cold-open path avserve's v2 tier takes: map, validate, and
-// stand a query engine directly on the columns — no deserialization.
+// openV2 is the cold-open path avserve's snapshot tier takes: map,
+// validate, and stand a query engine directly on the columns — no
+// deserialization.
 func openV2(tb testing.TB, dir string, seed int64) (*View, *query.Engine) {
 	tb.Helper()
 	v, err := OpenSeed(dir, seed)
@@ -43,11 +43,11 @@ func openV2(tb testing.TB, dir string, seed int64) (*View, *query.Engine) {
 
 // BenchmarkSnapshotV2Load measures the v2 warm-start path on the
 // calibrated seed-1 study: map the file, checksum + structural validation,
-// and engine construction over the raw columns. Compare against the v1
-// pair in internal/snapshot (BenchmarkSnapshotLoad, deserializing, and
-// BenchmarkSnapshotPipelineRebuild); the acceptance bar — v2 at least 10x
-// faster than v1 — is pinned by TestSnapshotV2LoadSpeedup. The snapshot's
-// byte size is reported alongside ns/op for the perf-trajectory artifact.
+// and engine construction over the raw columns. Compare against
+// BenchmarkSnapshotPipelineRebuild; the acceptance bar — an open at least
+// 100x faster than a rebuild — is pinned by TestSnapshotV2LoadSpeedup.
+// The snapshot's byte size is reported alongside ns/op for the
+// perf-trajectory artifact.
 func BenchmarkSnapshotV2Load(b *testing.B) {
 	dir := b.TempDir()
 	if _, err := WriteSeed(dir, 1, buildStudy(b, 1)); err != nil {
@@ -61,6 +61,16 @@ func BenchmarkSnapshotV2Load(b *testing.B) {
 		v.Close()
 	}
 	b.ReportMetric(float64(size), "bytes")
+}
+
+// BenchmarkSnapshotPipelineRebuild measures the cold path the snapshot
+// replaces: a full pipeline run plus index build for the same seed.
+func BenchmarkSnapshotPipelineRebuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := query.New(buildStudy(b, 1)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSnapshotV2Write measures the export cost avpipe -snapshot-out
@@ -77,53 +87,41 @@ func BenchmarkSnapshotV2Write(b *testing.B) {
 }
 
 // TestSnapshotV2LoadSpeedup pins the performance contract that justifies
-// the second format: cold-opening a v2 snapshot into a serving engine must
-// be at least 10x faster than the v1 deserializing load of the same study.
-// Both sides are measured in this process on the calibrated seed-1 study,
-// each iteration doing everything its cache tier does on a miss.
+// the snapshot tier: cold-opening a snapshot into a serving engine must be
+// at least 100x faster than rebuilding the study through the pipeline
+// (pipeline run plus query.New). Both sides are measured in this process
+// on the calibrated seed-1 study, each doing everything its path does on
+// a cache miss.
 func TestSnapshotV2LoadSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline build in -short mode")
 	}
-	dir := t.TempDir()
+	start := time.Now()
 	db := buildStudy(t, 1)
-	if err := snapshot.WriteSeed(dir, 1, db); err != nil {
+	if _, err := query.New(db); err != nil {
 		t.Fatal(err)
 	}
+	rebuild := time.Since(start)
+
+	dir := t.TempDir()
 	if _, err := WriteSeed(dir, 1, db); err != nil {
 		t.Fatal(err)
 	}
-
-	// Warm the page cache on both files so the comparison is CPU-bound, the
-	// regime that dominates once a replica has run for more than a moment.
-	if _, err := snapshot.ReadSeed(dir, 1); err != nil {
-		t.Fatal(err)
-	}
+	// Warm the page cache so the timed opens are CPU-bound, the regime
+	// that dominates once a replica has run for more than a moment.
 	v, _ := openV2(t, dir, 1)
 	v.Close()
 
 	const loads = 5
-	start := time.Now()
-	for i := 0; i < loads; i++ {
-		dbV1, err := snapshot.ReadSeed(dir, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := query.New(dbV1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v1 := time.Since(start) / loads
-
 	start = time.Now()
 	for i := 0; i < loads; i++ {
 		v, _ := openV2(t, dir, 1)
 		v.Close()
 	}
-	v2 := time.Since(start) / loads
+	open := time.Since(start) / loads
 
-	t.Logf("v1 deserializing load %v, v2 mapped open %v (%.0fx)", v1, v2, float64(v1)/float64(v2))
-	if v2*10 > v1 {
-		t.Errorf("v2 open %v is not 10x faster than v1 load %v", v2, v1)
+	t.Logf("pipeline rebuild %v, mapped open %v (%.0fx)", rebuild, open, float64(rebuild)/float64(open))
+	if open*100 > rebuild {
+		t.Errorf("mapped open %v is not 100x faster than rebuild %v", open, rebuild)
 	}
 }

@@ -469,8 +469,8 @@ func TestEncodeNil(t *testing.T) {
 	}
 }
 
-// TestPathShape pins the cross-binary file naming contract: the v2 file
-// sits beside the v1 study-<seed>.avsnap under a distinct extension.
+// TestPathShape pins the cross-binary file naming contract: the .avsnap2
+// extension keeps it distinct from a retired v1 study-<seed>.avsnap.
 func TestPathShape(t *testing.T) {
 	if got := Path("snaps", 42); got != filepath.Join("snaps", "study-42.avsnap2") {
 		t.Fatalf("Path = %q", got)
