@@ -2,7 +2,7 @@
 
 GO ?= go
 
-BENCH_SMOKE := PipelineEndToEnd|ParseConcurrent|ClassifyAll|Expand|Snapshot
+BENCH_SMOKE := PipelineEndToEnd|ParseConcurrent|ClassifyAll|Expand|Snapshot|GroupCount|Select
 SERVE_ADDR ?= 127.0.0.1:18080
 LOAD_ADDR ?= 127.0.0.1:18081
 LOAD_DURATION ?= 10s

@@ -7,13 +7,13 @@
 // Usage:
 //
 //	avquery [-seed 1] [-snapshot-dir snapshots/] [-mfr Waymo] [-tag "Recognition System"]
-//	        [-category ML/Design] [-road highway] [-weather rain]
+//	        [-category ML/Design] [-road highway] [-weather raining]
 //	        [-modality manual] [-from 2015-01] [-to 2015-12]
-//	        [-by tag|category|month|road|weather|modality|manufacturer]
+//	        [-by tag|category|month|cause|...]
 //	        [-accidents] [-limit 20] [-csv] [-json]
 //
 // Without -by, matching events are listed (up to -limit); with -by, counts
-// per group are printed; with -accidents, accident reports matching -mfr
+// per group of any query.GroupColumns column are printed; with -accidents, accident reports matching -mfr
 // and the month range are listed through the same query.Engine.Accidents
 // path the avserve API uses. -csv emits the matching rows as CSV on
 // stdout; -json emits the listing or the group counts as JSON instead of

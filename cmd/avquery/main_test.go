@@ -9,33 +9,33 @@ import (
 	"time"
 
 	"avfda/internal/core"
-	"avfda/internal/frame"
 	"avfda/internal/ontology"
 	"avfda/internal/query"
 	"avfda/internal/schema"
 	"avfda/internal/snapshot2"
 )
 
+// fixtureEvent is one disengagement with its tag's category.
+func fixtureEvent(m schema.Manufacturer, tag ontology.Tag, road schema.RoadType, mod schema.Modality,
+	cause string, ts time.Time) core.Event {
+	return core.Event{
+		Disengagement: schema.Disengagement{
+			Manufacturer: m, ReportYear: schema.Report2016, Time: ts, Cause: cause,
+			Modality: mod, Road: road,
+		},
+		Tag:      tag,
+		Category: ontology.CategoryOf(tag),
+	}
+}
+
 func queryFixture(t *testing.T) *query.Engine {
 	t.Helper()
-	f := frame.New()
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	must(f.AddStrings("manufacturer", []string{"Waymo", "Waymo", "Bosch"}))
-	must(f.AddStrings("tag", []string{"Software", "Sensor", "Software"}))
-	must(f.AddStrings("category", []string{"System", "System", "System"}))
-	must(f.AddStrings("road", []string{"highway", "city street", "highway"}))
-	must(f.AddStrings("modality", []string{"Manual", "Automatic", "Planned"}))
-	must(f.AddStrings("cause", []string{"a", "b", "c"}))
-	must(f.AddTimes("time", []time.Time{
-		time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2015, 6, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2016, 1, 10, 0, 0, 0, 0, time.UTC),
-	}))
-	eng, err := query.NewFromFrame(f)
+	day := func(y, m, d int) time.Time { return time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC) }
+	eng, err := query.New(&core.DB{Events: []core.Event{
+		fixtureEvent(schema.Waymo, ontology.TagSoftware, schema.RoadHighway, schema.ModalityManual, "a", day(2015, 3, 10)),
+		fixtureEvent(schema.Waymo, ontology.TagSensor, schema.RoadCityStreet, schema.ModalityAutomatic, "b", day(2015, 6, 10)),
+		fixtureEvent(schema.Bosch, ontology.TagSoftware, schema.RoadHighway, schema.ModalityPlanned, "c", day(2016, 1, 10)),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,21 +140,11 @@ func TestGoldenListOutput(t *testing.T) {
 }
 
 func TestGoldenListTruncatesLongCauses(t *testing.T) {
-	f := frame.New()
 	long := strings.Repeat("x", 70)
-	if err := f.AddStrings("manufacturer", []string{"Waymo"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddStrings("tag", []string{"Software"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddStrings("cause", []string{long}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.AddTimes("time", []time.Time{time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC)}); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := query.NewFromFrame(f)
+	eng, err := query.New(&core.DB{Events: []core.Event{
+		fixtureEvent(schema.Waymo, ontology.TagSoftware, schema.RoadUnknown, schema.ModalityUnknown,
+			long, time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC)),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,12 +88,9 @@ func Reliability(db *core.DB) ([]ReliabilityMetric, error) {
 }
 
 // Reliability reports the engine's per-manufacturer reliability metrics.
-// It requires a database-backed engine (New, or NewFromSource with a
-// database hook — snapshot views materialize their tables on first use).
+// It requires the engine's database hook (snapshot views materialize their
+// tables on first use).
 func (e *Engine) Reliability() ([]ReliabilityMetric, error) {
-	if e.db == nil && e.lazyDB == nil {
-		return nil, errors.New("query: engine has no database (built from a bare frame)")
-	}
 	db, err := e.Database()
 	if err != nil {
 		return nil, err

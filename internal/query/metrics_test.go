@@ -2,14 +2,12 @@ package query
 
 import (
 	"math"
-	"reflect"
 	"testing"
 	"time"
 
 	"avfda/internal/core"
 	"avfda/internal/ontology"
 	"avfda/internal/schema"
-	"avfda/internal/synth"
 )
 
 // metricsDB builds a tiny hand-assembled failure database: Waymo with one
@@ -97,12 +95,13 @@ func TestReliabilityMetrics(t *testing.T) {
 // TestEngineOverDB exercises the New constructor end-to-end on the
 // hand-assembled database.
 func TestEngineOverDB(t *testing.T) {
-	eng, err := New(metricsDB())
+	db := metricsDB()
+	eng, err := New(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.DB() == nil {
-		t.Error("DB() = nil for database-backed engine")
+	if got, err := eng.Database(); err != nil || got != db {
+		t.Errorf("Database() = %p, %v; want New's database %p", got, err, db)
 	}
 	n, err := eng.Count(Filter{Manufacturer: "Waymo"})
 	if err != nil {
@@ -117,41 +116,5 @@ func TestEngineOverDB(t *testing.T) {
 	}
 	if len(rows) != 2 {
 		t.Errorf("reliability rows = %d, want 2", len(rows))
-	}
-}
-
-// TestNewMatchesEventsFrame checks that New, which reads its columns off
-// the events, builds the same columns and indexes as an engine over the
-// database's EventsFrame, and that its lazily built frame is that frame.
-func TestNewMatchesEventsFrame(t *testing.T) {
-	tr, err := synth.Generate(synth.Config{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := core.BuildWithTags(&tr.Corpus, tr.Tags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := New(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := db.EventsFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewFromFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.src, want.src) {
-		t.Error("New's columns or indexes differ from NewFromFrame over EventsFrame")
-	}
-	lazy, err := got.frame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lazy, f) {
-		t.Error("New's materialized frame differs from EventsFrame")
 	}
 }

@@ -67,13 +67,13 @@ func (e *MonthError) Error() string {
 func (e *MonthError) Unwrap() error { return e.Err }
 
 // ColumnError reports a query naming a column the engine does not have
-// (e.g. a group-by over a column absent from the frame). It mirrors
+// (a group-by over a column outside GroupColumns). It mirrors
 // MonthError so transports can classify it as client input error with
 // errors.As instead of matching message text.
 type ColumnError struct {
 	// Column is the rejected column name.
 	Column string
-	// Err is the underlying frame-layer error.
+	// Err is the underlying cause.
 	Err error
 }
 
@@ -82,7 +82,7 @@ func (e *ColumnError) Error() string {
 	return fmt.Sprintf("group by %q: %v", e.Column, e.Err)
 }
 
-// Unwrap exposes the underlying frame error.
+// Unwrap exposes the underlying cause.
 func (e *ColumnError) Unwrap() error { return e.Err }
 
 // ParseMonthRange parses inclusive "YYYY-MM" month bounds into a concrete
@@ -161,10 +161,10 @@ type GroupCount struct {
 // be immutable and safe for concurrent use; returned posting lists are
 // shared and read-only.
 //
-// The in-heap implementation wraps the column slices an engine has always
-// carried; snapshot2.View implements the same surface directly over a
-// memory-mapped study file, which is how an engine serves queries with no
-// deserialization at all.
+// New's in-heap implementation copies each EventsFrame column out of the
+// database once and indexes the copies; snapshot2.View implements the same
+// surface directly over a memory-mapped study file, which is how an engine
+// serves queries with no deserialization at all.
 type Source interface {
 	// NumRows returns the event count; row indexes run [0, NumRows()).
 	NumRows() int
@@ -189,27 +189,22 @@ type Source interface {
 	CategoryIDs(key string) []int
 }
 
-// Engine answers queries over one study's failure database. Build it once
-// with New (or NewFromFrame, or NewFromSource over a snapshot view) and
-// share it freely: all methods are read-only and safe for concurrent use.
+// Engine answers queries over one study's failure database: every event
+// query reads its Source, and the whole-table analyses (accidents,
+// reliability, dataframe export) reach the database through one hook.
+// Build it once with New or NewFromSource and share it freely: all methods
+// are read-only and safe for concurrent use.
 type Engine struct {
 	src Source
-	n   int
 
-	db     *core.DB // set by New; nil for frame- and source-backed engines
-	lazyDB func() (*core.DB, error)
+	dbHook func() (*core.DB, error)
 	dbOnce sync.Once
-	mdb    *core.DB
-	mdbErr error
-
-	f         *frame.Frame // set by NewFromFrame; else materialized lazily
-	frameOnce sync.Once
-	mframe    *frame.Frame
-	mframeErr error
+	db     *core.DB
+	dbErr  error
 }
 
-// sliceSource is the in-heap Source: the engine's historical column slices
-// and eagerly built inverted indexes.
+// sliceSource is the in-heap Source: column copies of the database's
+// events and eagerly built inverted indexes.
 type sliceSource struct {
 	mfr      []string
 	tag      []string
@@ -245,10 +240,9 @@ func (s *sliceSource) ManufacturerIDs(key string) []int { return s.byMfr[key] }
 func (s *sliceSource) TagIDs(key string) []int          { return s.byTag[key] }
 func (s *sliceSource) CategoryIDs(key string) []int     { return s.byCategory[key] }
 
-// New builds an engine over the database's events. Its columns hold the
-// string forms core.DB.EventsFrame renders, read straight off the events;
-// the dataframe itself is materialized only when a frame fallback first
-// needs it.
+// New builds an engine over the database's events. Its Source holds the
+// string forms core.DB.EventsFrame renders, read straight off the events,
+// and its database hook returns db itself.
 func New(db *core.DB) (*Engine, error) {
 	if db == nil {
 		return nil, errors.New("query: nil database")
@@ -280,79 +274,23 @@ func New(db *core.DB) (*Engine, error) {
 		s.reaction[i] = ev.ReactionSeconds
 		s.times[i] = ev.Time
 	}
-	s.buildIndexes()
-	return &Engine{src: s, n: n, db: db}, nil
-}
-
-// NewFromFrame builds an engine over an events dataframe (the EventsFrame
-// column layout). Missing columns are treated as all-zero, so partial
-// frames — tests, external CSV loads — still query; database-backed
-// analyses (Reliability) require New.
-func NewFromFrame(f *frame.Frame) (*Engine, error) {
-	if f == nil {
-		return nil, errors.New("query: nil frame")
-	}
-	n := f.NumRows()
-	s := &sliceSource{
-		mfr:      stringColOrEmpty(f, "manufacturer", n),
-		tag:      stringColOrEmpty(f, "tag", n),
-		category: stringColOrEmpty(f, "category", n),
-		road:     stringColOrEmpty(f, "road", n),
-		weather:  stringColOrEmpty(f, "weather", n),
-		modality: stringColOrEmpty(f, "modality", n),
-		vehicle:  stringColOrEmpty(f, "vehicle", n),
-		year:     stringColOrEmpty(f, "reportYear", n),
-		cause:    stringColOrEmpty(f, "cause", n),
-		reaction: floatColOrZero(f, "reactionSeconds", n),
-		times:    timeColOrZero(f, "time", n),
-	}
-	s.buildIndexes()
-	return &Engine{src: s, n: n, f: f}, nil
-}
-
-// buildIndexes builds the inverted indexes over the indexed columns.
-func (s *sliceSource) buildIndexes() {
 	s.byMfr = buildIndex(s.mfr)
 	s.byTag = buildIndex(s.tag)
 	s.byCategory = buildIndex(s.category)
+	return NewFromSource(s, func() (*core.DB, error) { return db, nil })
 }
 
 // NewFromSource builds an engine directly over a Source — typically a
 // snapshot2.View serving a memory-mapped study with zero deserialization.
-// lazyDB, when non-nil, materializes the full failure database on first
-// need (accident listings, reliability metrics, dataframe export); it is
+// dbHook, when non-nil, returns the full failure database on first need
+// (accident listings, reliability metrics, dataframe export); it is
 // invoked at most once and must return a database consistent with the
-// source's rows. With a nil lazyDB those analyses fail the same way a
-// bare-frame engine's do.
-func NewFromSource(src Source, lazyDB func() (*core.DB, error)) (*Engine, error) {
+// source's rows. With a nil dbHook those analyses report an error.
+func NewFromSource(src Source, dbHook func() (*core.DB, error)) (*Engine, error) {
 	if src == nil {
 		return nil, errors.New("query: nil source")
 	}
-	return &Engine{src: src, n: src.NumRows(), lazyDB: lazyDB}, nil
-}
-
-// stringColOrEmpty copies the named string column, or zero-fills.
-func stringColOrEmpty(f *frame.Frame, name string, n int) []string {
-	if data, err := f.StringsCol(name); err == nil {
-		return data
-	}
-	return make([]string, n)
-}
-
-// floatColOrZero copies the named float column, or zero-fills.
-func floatColOrZero(f *frame.Frame, name string, n int) []float64 {
-	if data, err := f.Floats(name); err == nil {
-		return data
-	}
-	return make([]float64, n)
-}
-
-// timeColOrZero copies the named time column, or zero-fills.
-func timeColOrZero(f *frame.Frame, name string, n int) []time.Time {
-	if data, err := f.Times(name); err == nil {
-		return data
-	}
-	return make([]time.Time, n)
+	return &Engine{src: src, dbHook: dbHook}, nil
 }
 
 // buildIndex maps each distinct lower-cased value to its ascending row ids.
@@ -372,44 +310,18 @@ func buildIndex(col []string) map[string][]int {
 }
 
 // Len returns the total number of events in the engine.
-func (e *Engine) Len() int { return e.n }
+func (e *Engine) Len() int { return e.src.NumRows() }
 
-// DB returns the database the engine was constructed from (New), or nil
-// for frame- and source-backed engines. Callers that can accept lazy
-// materialization should prefer Database.
-func (e *Engine) DB() *core.DB { return e.db }
-
-// Database returns the backing failure database, materializing it on
-// first use for source-backed engines (snapshot views decode their tables
-// exactly once, here). Engines built from a bare frame have no database
-// to give and return an error.
+// Database returns the study's failure database from the engine's hook,
+// which runs at most once: New's hook hands back its database, a snapshot
+// view's decodes its tables here. An engine without a hook has no
+// database and returns an error.
 func (e *Engine) Database() (*core.DB, error) {
-	if e.db != nil {
-		return e.db, nil
+	if e.dbHook == nil {
+		return nil, errors.New("query: engine has no database")
 	}
-	if e.lazyDB == nil {
-		return nil, errors.New("query: engine has no database (built from a bare frame)")
-	}
-	e.dbOnce.Do(func() { e.mdb, e.mdbErr = e.lazyDB() })
-	return e.mdb, e.mdbErr
-}
-
-// frame returns the engine's events dataframe, materializing it from the
-// database on first use for source-backed engines. Only the dataframe
-// fallbacks (CSV export, group-by over non-indexed columns) pay this cost.
-func (e *Engine) frame() (*frame.Frame, error) {
-	if e.f != nil {
-		return e.f, nil
-	}
-	e.frameOnce.Do(func() {
-		db, err := e.Database()
-		if err != nil {
-			e.mframeErr = err
-			return
-		}
-		e.mframe, e.mframeErr = db.EventsFrame()
-	})
-	return e.mframe, e.mframeErr
+	e.dbOnce.Do(func() { e.db, e.dbErr = e.dbHook() })
+	return e.db, e.dbErr
 }
 
 // eqFold reports whether got matches the predicate want ("" matches all).
@@ -489,8 +401,9 @@ func (e *Engine) candidates(f Filter) []int {
 
 // scan is the sequential match loop over every row.
 func (e *Engine) scan(f Filter, from, toExcl time.Time) []int {
-	out := make([]int, 0, e.n)
-	for i := 0; i < e.n; i++ {
+	n := e.src.NumRows()
+	out := make([]int, 0, n)
+	for i := 0; i < n; i++ {
 		if e.matches(i, f, from, toExcl) {
 			out = append(out, i)
 		}
@@ -535,6 +448,18 @@ func (e *Engine) event(i int) Event {
 	}
 }
 
+// bounds clamps the page to n results: a negative offset counts as 0, and
+// [start, end) is the page's window, empty once the offset reaches n.
+func (p Page) bounds(n int) (offset, start, end int) {
+	offset = max(p.Offset, 0)
+	start = min(offset, n)
+	end = n
+	if p.Limit > 0 && start+p.Limit < end {
+		end = start + p.Limit
+	}
+	return offset, start, end
+}
+
 // Events returns one page of matching events plus the match total. An
 // offset at or past the total yields an empty (non-nil) page.
 func (e *Engine) Events(f Filter, p Page) (EventPage, error) {
@@ -542,18 +467,8 @@ func (e *Engine) Events(f Filter, p Page) (EventPage, error) {
 	if err != nil {
 		return EventPage{}, err
 	}
-	if p.Offset < 0 {
-		p.Offset = 0
-	}
-	page := EventPage{Total: len(ids), Offset: p.Offset, Limit: p.Limit}
-	start := p.Offset
-	if start > len(ids) {
-		start = len(ids)
-	}
-	end := len(ids)
-	if p.Limit > 0 && start+p.Limit < end {
-		end = start + p.Limit
-	}
+	offset, start, end := p.bounds(len(ids))
+	page := EventPage{Total: len(ids), Offset: offset, Limit: p.Limit}
 	page.Events = make([]Event, 0, end-start)
 	for _, i := range ids[start:end] {
 		page.Events = append(page.Events, e.event(i))
@@ -575,12 +490,9 @@ type AccidentPage struct {
 // context, so only the Manufacturer, From, and To predicates apply; the
 // other filter fields are ignored. Pagination follows Events: negative
 // offsets clamp to 0, Limit <= 0 means unlimited, and an offset at or past
-// the total yields an empty (non-nil) page. Requires a database-backed
-// engine (New, or NewFromSource with a database hook).
+// the total yields an empty (non-nil) page. Requires the engine's database
+// hook.
 func (e *Engine) Accidents(f Filter, p Page) (AccidentPage, error) {
-	if e.db == nil && e.lazyDB == nil {
-		return AccidentPage{}, errors.New("query: accidents need a database-backed engine (built with New)")
-	}
 	db, err := e.Database()
 	if err != nil {
 		return AccidentPage{}, err
@@ -602,111 +514,97 @@ func (e *Engine) Accidents(f Filter, p Page) (AccidentPage, error) {
 		}
 		matched = append(matched, a)
 	}
-	if p.Offset < 0 {
-		p.Offset = 0
-	}
-	page := AccidentPage{Total: len(matched), Offset: p.Offset, Limit: p.Limit}
-	start := p.Offset
-	if start > len(matched) {
-		start = len(matched)
-	}
-	end := len(matched)
-	if p.Limit > 0 && start+p.Limit < end {
-		end = start + p.Limit
-	}
-	page.Accidents = matched[start:end]
-	return page, nil
+	offset, start, end := p.bounds(len(matched))
+	return AccidentPage{Total: len(matched), Offset: offset, Limit: p.Limit, Accidents: matched[start:end]}, nil
 }
 
 // Frame returns the matching rows as a dataframe (for CSV export and
-// frame-level post-processing). Source-backed engines materialize their
-// dataframe on first use.
+// frame-level post-processing). Each call renders the database's
+// EventsFrame afresh, so it needs the engine's database hook.
 func (e *Engine) Frame(f Filter) (*frame.Frame, error) {
 	ids, err := e.Select(f)
 	if err != nil {
 		return nil, err
 	}
-	fr, err := e.frame()
+	db, err := e.Database()
+	if err != nil {
+		return nil, err
+	}
+	fr, err := db.EventsFrame()
 	if err != nil {
 		return nil, err
 	}
 	return fr.Take(ids)
 }
 
-// GroupColumns lists the group-by columns the engine answers from its
-// typed column cache. Other columns fall back to the dataframe layer.
-func GroupColumns() []string {
-	return []string{"manufacturer", "tag", "category", "road", "weather", "modality", "month"}
+// groupKeys is the ordered table of group-by columns — every EventsFrame
+// column plus "month" — each with the key it reads off a Source row. Keys
+// take the forms frame.GroupBy renders over EventsFrame (RFC 3339 times,
+// %g floats), so no group-by needs the database.
+var groupKeys = []struct {
+	name string
+	key  func(s Source, i int) string
+}{
+	{"manufacturer", Source.Manufacturer},
+	{"tag", Source.Tag},
+	{"category", Source.Category},
+	{"road", Source.Road},
+	{"weather", Source.Weather},
+	{"modality", Source.Modality},
+	{"month", func(s Source, i int) string { return s.Time(i).Format("2006-01") }},
+	{"cause", Source.Cause},
+	{"vehicle", Source.Vehicle},
+	{"reportYear", Source.ReportYear},
+	{"time", func(s Source, i int) string { return s.Time(i).Format(time.RFC3339Nano) }},
+	{"reactionSeconds", func(s Source, i int) string { return fmt.Sprintf("%g", s.ReactionSeconds(i)) }},
 }
 
-// groupColumns is the full set of columns GroupCount accepts: the typed
-// GroupColumns plus the EventsFrame columns the dataframe fallback can
-// group (core.DB.EventsFrame owns that list).
-var groupColumns = map[string]bool{
-	"manufacturer": true, "tag": true, "category": true, "road": true,
-	"weather": true, "modality": true, "month": true,
-	"vehicle": true, "reportYear": true, "cause": true,
-	"time": true, "reactionSeconds": true,
+// groupIndex maps each group-by column name to its groupKeys position.
+var groupIndex = func() map[string]int {
+	m := make(map[string]int, len(groupKeys))
+	for i, g := range groupKeys {
+		m[g.name] = i
+	}
+	return m
+}()
+
+// errNoColumn is the cause a *ColumnError wraps.
+var errNoColumn = errors.New("no such column")
+
+// GroupColumns lists the columns GroupCount accepts, in display order.
+func GroupColumns() []string {
+	out := make([]string, len(groupKeys))
+	for i, g := range groupKeys {
+		out[i] = g.name
+	}
+	return out
 }
 
 // IsGroupColumn reports whether by is a column GroupCount can group by.
 // Handlers validate request parameters with it before paying for a study
 // build: a garbage ?by= must fail in microseconds, not after a full
 // pipeline run (the taintflow analyzer enforces this ordering).
-func IsGroupColumn(by string) bool { return groupColumns[by] }
+func IsGroupColumn(by string) bool {
+	_, ok := groupIndex[by]
+	return ok
+}
 
 // GroupCount counts matching events per value of the named column, most
 // frequent first (ties broken by key). "month" groups by the event's
-// "YYYY-MM"; any other column present in the underlying frame (e.g.
-// "cause") is grouped through the dataframe layer.
+// "YYYY-MM"; an unknown column is a *ColumnError.
 func (e *Engine) GroupCount(f Filter, by string) ([]GroupCount, error) {
 	ids, err := e.Select(f)
 	if err != nil {
 		return nil, err
 	}
-	var key func(i int) string
-	switch by {
-	case "manufacturer":
-		key = e.src.Manufacturer
-	case "tag":
-		key = e.src.Tag
-	case "category":
-		key = e.src.Category
-	case "road":
-		key = e.src.Road
-	case "weather":
-		key = e.src.Weather
-	case "modality":
-		key = e.src.Modality
-	case "month":
-		key = func(i int) string { return e.src.Time(i).Format("2006-01") }
-	default:
-		return e.groupCountFrame(ids, by)
+	col, ok := groupIndex[by]
+	if !ok {
+		return nil, &ColumnError{Column: by, Err: errNoColumn}
 	}
+	key := groupKeys[col].key
 	counts := make(map[string]int)
 	for _, i := range ids {
-		counts[key(i)]++
-	}
-	return sortedGroups(counts), nil
-}
-
-// groupCountFrame groups arbitrary frame columns via frame.GroupBy.
-func (e *Engine) groupCountFrame(ids []int, by string) ([]GroupCount, error) {
-	fr, err := e.frame()
-	if err != nil {
-		return nil, err
-	}
-	sub, err := fr.Take(ids)
-	if err != nil {
-		return nil, err
-	}
-	groups, err := sub.GroupBy(by)
-	if err != nil {
-		return nil, &ColumnError{Column: by, Err: err}
-	}
-	counts := make(map[string]int, len(groups))
-	for _, g := range groups {
-		counts[g.Key[0]] = g.Frame.NumRows()
+		counts[key(e.src, i)]++
 	}
 	return sortedGroups(counts), nil
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"avfda/internal/core"
-	"avfda/internal/frame"
 	"avfda/internal/ontology"
 	"avfda/internal/schema"
 )
@@ -18,27 +17,42 @@ import (
 // fixtureEngine builds a small five-row engine with known values.
 func fixtureEngine(t *testing.T) *Engine {
 	t.Helper()
-	f := frame.New()
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
+	ev := func(m schema.Manufacturer, tag ontology.Tag, road schema.RoadType, w schema.Weather,
+		mod schema.Modality, cause string, ts time.Time, reaction float64) core.Event {
+		return core.Event{
+			Disengagement: schema.Disengagement{
+				Manufacturer: m, ReportYear: schema.Report2016, Time: ts, Cause: cause,
+				Modality: mod, Road: road, Weather: w, ReactionSeconds: reaction,
+			},
+			Tag:      tag,
+			Category: ontology.CategoryOf(tag),
 		}
 	}
-	must(f.AddStrings("manufacturer", []string{"Waymo", "Waymo", "Bosch", "Delphi", "Waymo"}))
-	must(f.AddStrings("tag", []string{"Software", "Sensor", "Software", "Planner", "Software"}))
-	must(f.AddStrings("category", []string{"System", "System", "System", "ML/Design", "System"}))
-	must(f.AddStrings("road", []string{"highway", "city street", "highway", "", "highway"}))
-	must(f.AddStrings("weather", []string{"sunny", "rain", "", "sunny", "fog"}))
-	must(f.AddStrings("modality", []string{"Manual", "Automatic", "Planned", "Manual", "Manual"}))
-	must(f.AddStrings("cause", []string{"a", "b", "c", "d", "e"}))
-	must(f.AddTimes("time", []time.Time{
-		time.Date(2015, 3, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2015, 6, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2016, 1, 10, 0, 0, 0, 0, time.UTC),
-		time.Date(2016, 5, 2, 0, 0, 0, 0, time.UTC),
-		time.Date(2016, 11, 30, 0, 0, 0, 0, time.UTC),
-	}))
-	eng, err := NewFromFrame(f)
+	day := func(y, m, d int) time.Time { return time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC) }
+	db := &core.DB{Events: []core.Event{
+		ev(schema.Waymo, ontology.TagSoftware, schema.RoadHighway, schema.WeatherSunny,
+			schema.ModalityManual, "a", day(2015, 3, 10), 0.5),
+		ev(schema.Waymo, ontology.TagSensor, schema.RoadCityStreet, schema.WeatherRaining,
+			schema.ModalityAutomatic, "b", day(2015, 6, 10), -1),
+		ev(schema.Bosch, ontology.TagSoftware, schema.RoadHighway, schema.WeatherUnknown,
+			schema.ModalityPlanned, "c", day(2016, 1, 10), 1.25),
+		ev(schema.Delphi, ontology.TagPlanner, schema.RoadUnknown, schema.WeatherSunny,
+			schema.ModalityManual, "d", day(2016, 5, 2), 0.5),
+		ev(schema.Waymo, ontology.TagSoftware, schema.RoadHighway, schema.WeatherFoggy,
+			schema.ModalityManual, "e", day(2016, 11, 30), -1),
+	}}
+	eng, err := New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// hooklessEngine is the fixture's Source behind an engine with no
+// database hook.
+func hooklessEngine(t *testing.T) *Engine {
+	t.Helper()
+	eng, err := NewFromSource(fixtureEngine(t).src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,44 +133,34 @@ func TestMonthErrors(t *testing.T) {
 	}
 }
 
-// randomEngine generates a deterministic pseudo-random corpus for the
-// equivalence property test.
+// randomEngine generates a deterministic pseudo-random database for the
+// equivalence property test and the selection benchmarks.
 func randomEngine(t testing.TB, rng *rand.Rand, n int) *Engine {
 	t.Helper()
-	pick := func(opts []string) string { return opts[rng.Intn(len(opts))] }
-	mfrs := []string{"Waymo", "Bosch", "Delphi", "GMCruise", "Tesla", ""}
-	tags := []string{"Software", "Sensor", "Planner", "Recognition System", "Unknown-T"}
-	cats := []string{"System", "ML/Design", "Unknown"}
-	roads := []string{"highway", "city street", "rural", ""}
-	weathers := []string{"sunny", "rain", "fog", ""}
-	modalities := []string{"Manual", "Automatic", "Planned"}
+	mfrs := []schema.Manufacturer{schema.Waymo, schema.Bosch, schema.Delphi, schema.GMCruise, schema.Tesla, ""}
+	tags := []ontology.Tag{ontology.TagSoftware, ontology.TagSensor, ontology.TagPlanner,
+		ontology.TagRecognitionSystem, ontology.TagUnknownT}
+	cats := ontology.AllCategories()
+	roads := []schema.RoadType{schema.RoadHighway, schema.RoadCityStreet, schema.RoadRural, schema.RoadUnknown}
+	weathers := []schema.Weather{schema.WeatherSunny, schema.WeatherRaining, schema.WeatherFoggy, schema.WeatherUnknown}
+	modalities := []schema.Modality{schema.ModalityManual, schema.ModalityAutomatic, schema.ModalityPlanned}
 
-	f := frame.New()
-	col := func(opts []string) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = pick(opts)
-		}
-		return out
-	}
-	times := make([]time.Time, n)
 	start := time.Date(2014, 9, 1, 0, 0, 0, 0, time.UTC)
-	for i := range times {
-		times[i] = start.AddDate(0, rng.Intn(27), rng.Intn(28))
-	}
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
+	db := &core.DB{Events: make([]core.Event, n)}
+	for i := range db.Events {
+		db.Events[i] = core.Event{
+			Disengagement: schema.Disengagement{
+				Manufacturer: mfrs[rng.Intn(len(mfrs))],
+				Time:         start.AddDate(0, rng.Intn(27), rng.Intn(28)),
+				Modality:     modalities[rng.Intn(len(modalities))],
+				Road:         roads[rng.Intn(len(roads))],
+				Weather:      weathers[rng.Intn(len(weathers))],
+			},
+			Tag:      tags[rng.Intn(len(tags))],
+			Category: cats[rng.Intn(len(cats))],
 		}
 	}
-	must(f.AddStrings("manufacturer", col(mfrs)))
-	must(f.AddStrings("tag", col(tags)))
-	must(f.AddStrings("category", col(cats)))
-	must(f.AddStrings("road", col(roads)))
-	must(f.AddStrings("weather", col(weathers)))
-	must(f.AddStrings("modality", col(modalities)))
-	must(f.AddTimes("time", times))
-	eng, err := NewFromFrame(f)
+	eng, err := New(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +184,9 @@ func TestIndexScanEquivalence(t *testing.T) {
 		f := Filter{
 			Manufacturer: maybe([]string{"Waymo", "bosch", "DELPHI", "Tesla", "Nissan"}),
 			Tag:          maybe([]string{"Software", "sensor", "Planner", "No Such Tag"}),
-			Category:     maybe([]string{"System", "ml/design", "Unknown"}),
+			Category:     maybe([]string{"System", "ml/design", "Unknown-C"}),
 			Road:         maybe([]string{"highway", "rural", "parking lot"}),
-			Weather:      maybe([]string{"sunny", "rain"}),
+			Weather:      maybe([]string{"sunny", "raining"}),
 			Modality:     maybe([]string{"Manual", "automatic"}),
 			From:         months[rng.Intn(len(months))],
 			To:           months[rng.Intn(len(months))],
@@ -272,14 +276,33 @@ func TestGroupCount(t *testing.T) {
 		t.Errorf("GroupCount(month) = %v, want %v", got, want)
 	}
 
-	// Fallback through the dataframe layer for non-cached columns.
-	got, err = eng.GroupCount(Filter{Tag: "Software"}, "cause")
-	if err != nil {
-		t.Fatal(err)
+	// Free-text, time and numeric columns group straight off the Source,
+	// in frame.GroupBy's key forms.
+	for _, tc := range []struct {
+		by   string
+		want []GroupCount
+	}{
+		{"cause", []GroupCount{{"a", 1}, {"c", 1}, {"e", 1}}},
+		{"reactionSeconds", []GroupCount{{"-1", 1}, {"0.5", 1}, {"1.25", 1}}},
+		{"time", []GroupCount{{"2015-03-10T00:00:00Z", 1}, {"2016-01-10T00:00:00Z", 1}, {"2016-11-30T00:00:00Z", 1}}},
+		{"reportYear", []GroupCount{{"2015-2016", 3}}},
+		{"vehicle", []GroupCount{{"", 3}}},
+	} {
+		got, err := eng.GroupCount(Filter{Tag: "Software"}, tc.by)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("GroupCount(%s) = %v, want %v", tc.by, got, tc.want)
+		}
 	}
-	want = []GroupCount{{"a", 1}, {"c", 1}, {"e", 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("GroupCount(cause) = %v, want %v", got, want)
+	if got, want := len(GroupColumns()), 12; got != want {
+		t.Errorf("GroupColumns() has %d columns, want %d", got, want)
+	}
+	for _, by := range GroupColumns() {
+		if !IsGroupColumn(by) {
+			t.Errorf("IsGroupColumn(%q) = false for a listed column", by)
+		}
 	}
 
 	if _, err := eng.GroupCount(Filter{}, "nope"); err == nil {
@@ -305,45 +328,22 @@ func TestFrameProjection(t *testing.T) {
 	}
 }
 
-func TestNewFromFrameMissingColumns(t *testing.T) {
-	f := frame.New()
-	if err := f.AddStrings("manufacturer", []string{"Waymo", "Bosch"}); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewFromFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := eng.Count(Filter{Manufacturer: "Waymo"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("count = %d", n)
-	}
-	// Predicates over absent columns match nothing (zero values).
-	n, err = eng.Count(Filter{Tag: "Software"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("absent-column count = %d", n)
-	}
-}
-
 func TestNewNilInputs(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Error("New(nil): want error")
 	}
-	if _, err := NewFromFrame(nil); err == nil {
-		t.Error("NewFromFrame(nil): want error")
+	if _, err := NewFromSource(nil, nil); err == nil {
+		t.Error("NewFromSource(nil, nil): want error")
 	}
 }
 
 func TestReliabilityRequiresDB(t *testing.T) {
-	eng := fixtureEngine(t)
+	eng := hooklessEngine(t)
 	if _, err := eng.Reliability(); err == nil {
-		t.Error("frame-only engine Reliability: want error")
+		t.Error("hookless engine Reliability: want error")
+	}
+	if _, err := eng.Frame(Filter{}); err == nil {
+		t.Error("hookless engine Frame: want error")
 	}
 }
 
@@ -446,8 +446,8 @@ func TestAccidentsErrors(t *testing.T) {
 	if !errors.As(err, &me) {
 		t.Errorf("malformed month error = %v, want *MonthError", err)
 	}
-	if _, err := fixtureEngine(t).Accidents(Filter{}, Page{}); err == nil {
-		t.Error("frame-only engine Accidents: want error")
+	if _, err := hooklessEngine(t).Accidents(Filter{}, Page{}); err == nil {
+		t.Error("hookless engine Accidents: want error")
 	}
 }
 

@@ -34,15 +34,11 @@ type Study struct {
 	ETag string
 }
 
-// Database returns the study's failure database, materializing it from
-// the engine's backing snapshot when the study was loaded as a mapped
-// view (whole-table consumers — the report tables — pay that cost once).
-func (s *Study) Database() (*core.DB, error) {
-	if s.DB != nil {
-		return s.DB, nil
-	}
-	return s.Engine.Database()
-}
+// Database returns the study's failure database through the engine's
+// database hook: a built study's engine hands back its database, a mapped
+// one materializes it from the snapshot once (whole-table consumers — the
+// report tables — pay that cost once).
+func (s *Study) Database() (*core.DB, error) { return s.Engine.Database() }
 
 // BuildFunc builds the study for one seed. Builds are expensive (a full
 // Stage I-IV pipeline run), which is exactly why the cache exists.

@@ -232,8 +232,8 @@ func TestGzipSkipsErrorsAndBinary(t *testing.T) {
 }
 
 // TestBadParamsSkipStudyBuild is the validation-ordering regression test:
-// a malformed limit (or missing group-by column) on a cold cache must
-// cost a 400, not a pipeline build.
+// a malformed limit or month bound (or missing group-by column) on a cold
+// cache must cost a 400, not a pipeline build.
 func TestBadParamsSkipStudyBuild(t *testing.T) {
 	var calls atomic.Int64
 	s := newTestServer(t, &calls, 0, 0)
@@ -243,6 +243,9 @@ func TestBadParamsSkipStudyBuild(t *testing.T) {
 		"/v1/studies/1/disengagements?offset=-1",
 		"/v1/studies/1/accidents?limit=bogus",
 		"/v1/studies/1/groupby",
+		"/v1/studies/1/disengagements?from=bogus",
+		"/v1/studies/2/accidents?to=2015-99",
+		"/v1/studies/3/groupby?by=tag&from=nope",
 	} {
 		if code, body := get(t, s, path); code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d (%s), want 400", path, code, strings.TrimSpace(body))

@@ -326,18 +326,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleDisengagements lists filtered, paginated disengagement events.
 // Cheap parameter validation runs before the study is resolved: a
-// malformed limit must cost a 400, not a multi-hundred-millisecond
-// pipeline build on a cold cache.
+// malformed limit or month bound must cost a 400, not a
+// multi-hundred-millisecond pipeline build on a cold cache.
 func (s *Server) handleDisengagements(w http.ResponseWriter, r *http.Request) {
 	page, ok := pageFromQuery(w, r)
 	if !ok {
+		return
+	}
+	f := filterFromQuery(r)
+	if err := f.Validate(); err != nil {
+		writeQueryError(w, err)
 		return
 	}
 	study, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	res, err := study.Engine.Events(filterFromQuery(r), page)
+	res, err := study.Engine.Events(f, page)
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -353,18 +358,22 @@ type AccidentPage = query.AccidentPage
 // The filtering lives in query.Engine.Accidents — one tested path shared
 // with the CLI — instead of being reimplemented inline here.
 func (s *Server) handleAccidents(w http.ResponseWriter, r *http.Request) {
-	// Like handleDisengagements: validate the cheap paging parameters
-	// before paying for (and caching) a study build.
+	// Like handleDisengagements: validate the cheap paging and month
+	// parameters before paying for (and caching) a study build.
 	page, ok := pageFromQuery(w, r)
 	if !ok {
+		return
+	}
+	q := r.URL.Query()
+	f := query.Filter{Manufacturer: q.Get("mfr"), From: q.Get("from"), To: q.Get("to")}
+	if err := f.Validate(); err != nil {
+		writeQueryError(w, err)
 		return
 	}
 	study, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	q := r.URL.Query()
-	f := query.Filter{Manufacturer: q.Get("mfr"), From: q.Get("from"), To: q.Get("to")}
 	res, err := study.Engine.Accidents(f, page)
 	if err != nil {
 		writeQueryError(w, err)
@@ -382,8 +391,9 @@ type GroupByResponse struct {
 
 // handleGroupBy counts filtered events per value of the ?by= column.
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	// Same ordering discipline as the listing handlers: a missing by
-	// parameter is knowable without building the study.
+	// Same ordering discipline as the listing handlers: a missing or
+	// unknown by parameter and a malformed month bound are knowable
+	// without building the study.
 	by := r.URL.Query().Get("by")
 	if by == "" {
 		writeError(w, http.StatusBadRequest,
@@ -395,11 +405,16 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 			"unknown group-by column %q: want one of %s", by, strings.Join(query.GroupColumns(), ", "))
 		return
 	}
+	f := filterFromQuery(r)
+	if err := f.Validate(); err != nil {
+		writeQueryError(w, err)
+		return
+	}
 	study, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	groups, err := study.Engine.GroupCount(filterFromQuery(r), by)
+	groups, err := study.Engine.GroupCount(f, by)
 	if err != nil {
 		writeQueryError(w, err)
 		return

@@ -692,3 +692,45 @@ func TestSnapshotCorruptRejected(t *testing.T) {
 		v.Close()
 	}
 }
+
+// TestSnapshotWriteThroughFailureStillServes: when the v2 write-through
+// cannot land (here the snapshot path is occupied by a non-empty
+// directory, which no rename can replace and which blocks even root),
+// the freshly built study is still served and cached — just without a
+// content validator — and the occupied path counts as a reject, not a
+// plain miss.
+func TestSnapshotWriteThroughFailureStillServes(t *testing.T) {
+	dir := t.TempDir()
+	path := snapshot2.Path(dir, 1)
+	if err := os.MkdirAll(filepath.Join(path, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	s, err := New(Config{Build: testBuilder(t, &calls, 0), CacheSize: 2, SnapshotDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/v1/studies/1/disengagements", nil)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("code = %d (%s), want 200", rec.Code, strings.TrimSpace(rec.Body.String()))
+	}
+	if etag := rec.Header().Get("ETag"); etag != "" {
+		t.Errorf("ETag = %q, want none (no snapshot was written)", etag)
+	}
+	stats := s.CacheStats()
+	if stats.Builds != 1 || stats.Snapshot2Writes != 0 || stats.Snapshot2Rejects != 1 {
+		t.Errorf("stats = %+v, want Builds 1, Snapshot2Writes 0, Snapshot2Rejects 1", stats)
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Errorf("snapshot path no longer the occupying directory: %v", err)
+	}
+
+	if code, body := get(t, s, "/v1/studies/1/disengagements"); code != http.StatusOK {
+		t.Fatalf("second request: code = %d (%s)", code, strings.TrimSpace(body))
+	}
+	if stats := s.CacheStats(); stats.Hits != 1 || stats.Builds != 1 {
+		t.Errorf("second request stats = %+v, want Hits 1, Builds 1", stats)
+	}
+}

@@ -73,6 +73,39 @@ func BenchmarkSnapshotPipelineRebuild(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupCount measures an unfiltered group-by on the calibrated
+// seed-1 study over both engine shapes: query.New's heap columns and a
+// mapped v2 snapshot. "tag" is a dictionary-coded column; "cause" is the
+// free-text one. Each case reuses one engine, so a first call's one-off
+// costs amortize over b.N.
+func BenchmarkGroupCount(b *testing.B) {
+	db := buildStudy(b, 1)
+	dir := b.TempDir()
+	if _, err := WriteSeed(dir, 1, db); err != nil {
+		b.Fatal(err)
+	}
+	heap, err := query.New(db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, mapped := openV2(b, dir, 1)
+	defer v.Close()
+	for _, eng := range []struct {
+		name string
+		*query.Engine
+	}{{"heap", heap}, {"mapped", mapped}} {
+		for _, by := range []string{"tag", "cause"} {
+			b.Run(eng.name+"/"+by, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.GroupCount(query.Filter{}, by); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkSnapshotV2Write measures the export cost avpipe -snapshot-out
 // and the cache's v2 write-through tier pay per study.
 func BenchmarkSnapshotV2Write(b *testing.B) {
