@@ -17,8 +17,11 @@ build:
 vet:
 	$(GO) vet ./...
 
+# avbench is a nested module that `./...` at the root skips; vet and test
+# it too, so an internal API change cannot break the benchmark unnoticed.
 test:
 	$(GO) test ./...
+	cd avbench && $(GO) vet ./... && $(GO) test ./...
 
 # The race job covers every package: a hand-maintained list let newly added
 # concurrent packages silently escape race coverage.

@@ -466,7 +466,7 @@ func BenchmarkParseConcurrent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	decoded, err := engine.DecodeAllConcurrent(context.Background(), docs, 0)
+	decoded, err := engine.DecodeAll(context.Background(), docs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -480,10 +480,7 @@ func BenchmarkParseConcurrent(b *testing.B) {
 			var rows int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, rep, err := parse.ParseConcurrent(inputs, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
+				_, rep := parse.Parse(inputs, workers)
 				rows = rep.RowsParsed
 			}
 			b.ReportMetric(float64(rows), "rows")
@@ -525,7 +522,7 @@ func BenchmarkClassifyAll(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tagged = 0
-				for _, r := range cls.ClassifyAllConcurrent(causes, workers) {
+				for _, r := range cls.ClassifyAll(causes, workers) {
 					if r.Score > 0 {
 						tagged++
 					}
@@ -606,8 +603,12 @@ func BenchmarkOCRDecode(b *testing.B) {
 	var lines int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		decoded, err := engine.DecodeAll(context.Background(), docs, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
 		lines = 0
-		for _, r := range engine.DecodeAll(docs) {
+		for _, r := range decoded {
 			lines += len(r.Lines)
 		}
 	}

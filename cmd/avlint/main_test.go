@@ -301,7 +301,7 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := lint.RunParallel(seqPkgs, analyzers, 1)
+	seq, _, err := lint.RunTimed(seqPkgs, analyzers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSequentialMatchesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := lint.RunParallel(parPkgs, analyzers, 8)
+	par, _, err := lint.RunTimed(parPkgs, analyzers, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,15 @@
 //	avpipe [-seed 1] [-noise 0.002] [-clean] [-no-expand] [-workers 0] [-in corpus/documents]
 //	       [-csv out/] [-snapshot-out snapshots/]
 //
-// Without -in, the corpus is generated in memory; with -in, pre-rendered
-// documents (from avgen, optionally re-noised by avocr) are parsed instead.
+// Without -in, the corpus is generated in memory and runs through all four
+// stages. With -in, pre-rendered documents (from avgen, optionally
+// re-noised by avocr) enter the same pipeline after OCR: they are parsed,
+// classified and consolidated by pipeline.RunOnDocuments, -noise and
+// -clean do not apply, and -seed only names the exported snapshot. Either
+// way -workers sizes the concurrent stages (0 = all cores, 1 = in order on
+// one goroutine; output is identical at any setting), SIGINT/SIGTERM stop
+// the run between stages, and the stage timings are printed.
+//
 // -snapshot-out exports the consolidated failure database as a versioned,
 // checksummed, mmap-able columnar study snapshot, study-<seed>.avsnap2,
 // inside the given directory. avserve/avquery -snapshot-dir map it back
@@ -29,7 +36,6 @@ import (
 	"syscall"
 
 	"avfda/internal/core"
-	"avfda/internal/nlp"
 	"avfda/internal/ocr"
 	"avfda/internal/parse"
 	"avfda/internal/pipeline"
@@ -38,26 +44,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "avpipe:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	seed := flag.Int64("seed", 1, "corpus seed")
-	noise := flag.Float64("noise", 0.002, "OCR substitution rate")
-	clean := flag.Bool("clean", false, "disable OCR noise")
-	noExpand := flag.Bool("no-expand", false, "skip dictionary expansion passes")
-	workers := flag.Int("workers", 0, "worker pool size for the concurrent stages (0 = all cores)")
-	in := flag.String("in", "", "parse pre-rendered documents from this directory instead of generating")
-	csvOut := flag.String("csv", "", "write the consolidated failure database as CSV into this directory")
-	snapOut := flag.String("snapshot-out", "", "export the study snapshot (study-<seed>.avsnap2) into this directory")
-	flag.Parse()
-
-	if *in != "" {
-		return runFromDocuments(*in, *noExpand, *workers, *csvOut, *snapOut, *seed)
-	}
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("avpipe", flag.ExitOnError)
+	seed := fs.Int64("seed", 1, "corpus seed")
+	noise := fs.Float64("noise", 0.002, "OCR substitution rate")
+	clean := fs.Bool("clean", false, "disable OCR noise")
+	noExpand := fs.Bool("no-expand", false, "skip dictionary expansion passes")
+	workers := fs.Int("workers", 0, "worker pool size for the concurrent stages (0 = all cores)")
+	in := fs.String("in", "", "parse pre-rendered documents from this directory instead of generating")
+	csvOut := fs.String("csv", "", "write the consolidated failure database as CSV into this directory")
+	snapOut := fs.String("snapshot-out", "", "export the study snapshot (study-<seed>.avsnap2) into this directory")
+	fs.Parse(args) // ExitOnError: exits 2 on a bad flag and 0 on -h, as flag.Parse does
 
 	cfg := pipeline.DefaultConfig()
 	cfg.Synth = synth.Config{Seed: *seed}
@@ -75,32 +78,42 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	res, err := pipeline.Run(ctx, cfg)
+	var res *pipeline.Result
+	var err error
+	if *in != "" {
+		var inputs []parse.Input
+		if inputs, err = readDocuments(*in); err != nil {
+			return err
+		}
+		res, err = pipeline.RunOnDocuments(ctx, cfg, inputs)
+	} else {
+		res, err = pipeline.Run(ctx, cfg)
+	}
 	if err != nil {
 		return err
 	}
-	printResult(res, true)
-	if err := writeCSVs(res.DB, *csvOut); err != nil {
+	printResult(stdout, res)
+	if err := writeCSVs(stdout, res.DB, *csvOut); err != nil {
 		return err
 	}
-	return writeSnapshot(res.DB, *snapOut, *seed)
+	return writeSnapshot(stdout, res.DB, *snapOut, *seed)
 }
 
 // writeSnapshot exports the consolidated database as a study snapshot
 // when dir is set, so serving processes can warm-start from it.
-func writeSnapshot(db *core.DB, dir string, seed int64) error {
+func writeSnapshot(w io.Writer, db *core.DB, dir string, seed int64) error {
 	if dir == "" {
 		return nil
 	}
 	if _, err := snapshot2.WriteSeed(dir, seed, db); err != nil {
 		return err
 	}
-	fmt.Printf("study snapshot written to %s\n", snapshot2.Path(dir, seed))
+	fmt.Fprintf(w, "study snapshot written to %s\n", snapshot2.Path(dir, seed))
 	return nil
 }
 
 // writeCSVs exports the consolidated database as CSV files when dir is set.
-func writeCSVs(db *core.DB, dir string) error {
+func writeCSVs(w io.Writer, db *core.DB, dir string) error {
 	if dir == "" {
 		return nil
 	}
@@ -132,16 +145,16 @@ func writeCSVs(db *core.DB, dir string) error {
 			return err
 		}
 	}
-	fmt.Printf("CSV export written to %s\n", dir)
+	fmt.Fprintf(w, "CSV export written to %s\n", dir)
 	return nil
 }
 
-// runFromDocuments parses a document directory through Stages II-IV. The
-// seed only names the exported snapshot (the documents carry the data).
-func runFromDocuments(dir string, noExpand bool, workers int, csvOut, snapOut string, seed int64) error {
+// readDocuments reads the *.txt documents in dir (avgen's layout) in name
+// order, one parse input per file named by the file's base name.
+func readDocuments(dir string) ([]parse.Input, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var names []string
 	for _, e := range entries {
@@ -154,83 +167,50 @@ func runFromDocuments(dir string, noExpand bool, workers int, csvOut, snapOut st
 	for _, name := range names {
 		raw, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		inputs = append(inputs, parse.Input{
 			DocID: strings.TrimSuffix(name, ".txt"),
 			Lines: strings.Split(strings.TrimRight(string(raw), "\n"), "\n"),
 		})
 	}
-	corpus, parseRep, err := parse.ParseConcurrent(inputs, workers)
-	if err != nil {
-		return err
-	}
-	dict := nlp.SeedDictionary()
-	if !noExpand {
-		causes := make([]string, 0, len(corpus.Disengagements))
-		for _, d := range corpus.Disengagements {
-			causes = append(causes, d.Cause)
-		}
-		dict, _, err = nlp.Expand(dict, causes, nlp.DefaultOptions(), nlp.ExpandOptions{})
-		if err != nil {
-			return err
-		}
-	}
-	cls, err := nlp.NewClassifier(dict, nlp.DefaultOptions())
-	if err != nil {
-		return err
-	}
-	db, err := core.BuildConcurrent(corpus, cls, workers)
-	if err != nil {
-		return err
-	}
-	res := &pipeline.Result{
-		Recovered:      corpus,
-		DB:             db,
-		ParseReport:    parseRep,
-		DictionarySize: dict.Size(),
-	}
-	printResult(res, false)
-	if err := writeCSVs(db, csvOut); err != nil {
-		return err
-	}
-	return writeSnapshot(db, snapOut, seed)
+	return inputs, nil
 }
 
-func printResult(res *pipeline.Result, haveTruth bool) {
-	fmt.Println("== Stage II: digitization ==")
+func printResult(w io.Writer, res *pipeline.Result) {
+	fmt.Fprintln(w, "== Stage II: digitization ==")
 	if res.OCR.Documents > 0 {
-		fmt.Printf("  %d documents, %d pages (%d manually transcribed)\n",
+		fmt.Fprintf(w, "  %d documents, %d pages (%d manually transcribed)\n",
 			res.OCR.Documents, res.OCR.Pages, res.OCR.ManualPages)
-		fmt.Printf("  artifacts: %d substitutions, %d dropped separators, %d merged lines\n",
+		fmt.Fprintf(w, "  artifacts: %d substitutions, %d dropped separators, %d merged lines\n",
 			res.OCR.Substitutions, res.OCR.DroppedSeparators, res.OCR.MergedLines)
-		fmt.Printf("  mean OCR confidence: %.4f\n", res.OCR.MeanConfidence)
+		fmt.Fprintf(w, "  mean OCR confidence: %.4f\n", res.OCR.MeanConfidence)
 	}
-	fmt.Printf("  parse: %d rows, %d defects (%.2f%%), %d documents skipped\n",
+	fmt.Fprintf(w, "  parse: %d rows, %d defects (%.2f%%), %d documents skipped\n",
 		res.ParseReport.RowsParsed, len(res.ParseReport.Defects),
 		100*res.ParseReport.DefectRate(), res.ParseReport.SkippedDocs)
 
-	fmt.Println("== Stage III: NLP ==")
-	fmt.Printf("  failure dictionary: %d phrases\n", res.DictionarySize)
-	if haveTruth {
-		fmt.Printf("  tag accuracy: %.2f%%, category accuracy: %.2f%% (%d matched)\n",
+	fmt.Fprintln(w, "== Stage III: NLP ==")
+	fmt.Fprintf(w, "  failure dictionary: %d phrases\n", res.DictionarySize)
+	if res.Truth != nil {
+		fmt.Fprintf(w, "  tag accuracy: %.2f%%, category accuracy: %.2f%% (%d matched)\n",
 			100*res.Accuracy.TagAccuracy(), 100*res.Accuracy.CategoryAccuracy(), res.Accuracy.Matched)
 		if top := res.Accuracy.TopConfusions(3); len(top) > 0 {
-			fmt.Println("  top confusions:")
+			fmt.Fprintln(w, "  top confusions:")
 			for _, c := range top {
-				fmt.Printf("    %s -> %s: %d\n", c.Want, c.Got, c.Count)
+				fmt.Fprintf(w, "    %s -> %s: %d\n", c.Want, c.Got, c.Count)
 			}
 		}
 	}
 
-	fmt.Println("== Stage IV: consolidated failure database ==")
+	fmt.Fprintln(w, "== Stage IV: consolidated failure database ==")
 	shares := res.DB.OverallCategoryShares()
-	fmt.Printf("  %d disengagements, %d accidents\n", len(res.DB.Events), len(res.DB.Accidents))
-	fmt.Printf("  category shares: perception %.1f%%, planner %.1f%%, system %.1f%%, unknown %.1f%%\n",
+	fmt.Fprintf(w, "  %d disengagements, %d accidents\n", len(res.DB.Events), len(res.DB.Accidents))
+	fmt.Fprintf(w, "  category shares: perception %.1f%%, planner %.1f%%, system %.1f%%, unknown %.1f%%\n",
 		100*shares.Perception, 100*shares.Planner, 100*shares.System, 100*shares.Unknown)
-	fmt.Printf("  ML/Design total: %.1f%% (paper: 64%%)\n", 100*shares.MLDesign)
+	fmt.Fprintf(w, "  ML/Design total: %.1f%% (paper: 64%%)\n", 100*shares.MLDesign)
 	if res.Elapsed > 0 {
-		fmt.Printf("  stage timings: %s\n", res.Stages)
-		fmt.Printf("  elapsed: %s (sum of stages)\n", res.Elapsed.Round(1e6))
+		fmt.Fprintf(w, "  stage timings: %s\n", res.Stages)
+		fmt.Fprintf(w, "  elapsed: %s (sum of stages)\n", res.Elapsed.Round(1e6))
 	}
 }

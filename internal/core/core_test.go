@@ -36,18 +36,8 @@ func truthDB(t *testing.T) *DB {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(nil, nil); err == nil {
+	if _, err := BuildWithTags(nil, nil); err == nil {
 		t.Error("nil corpus: want error")
-	}
-	cls, err := nlp.NewClassifier(nlp.SeedDictionary(), nlp.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Build(nil, cls); err == nil {
-		t.Error("nil corpus with classifier: want error")
-	}
-	if _, err := Build(&schema.Corpus{}, nil); err == nil {
-		t.Error("nil classifier: want error")
 	}
 	if _, err := BuildWithTags(&schema.Corpus{Disengagements: make([]schema.Disengagement, 2)}, nil); err == nil {
 		t.Error("misaligned tags: want error")
@@ -65,7 +55,8 @@ func TestBuildClassifiesEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := Build(corpus, cls)
+	tags := []ontology.Tag{cls.Classify(corpus.Disengagements[0].Cause).Tag}
+	db, err := BuildWithTags(corpus, tags)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,36 +65,6 @@ func TestBuildClassifiesEvents(t *testing.T) {
 	}
 	if db.Events[0].Category != ontology.CategorySystem {
 		t.Error("software should be a System fault")
-	}
-}
-
-func TestBuildConcurrentMatchesBuild(t *testing.T) {
-	tr, err := synth.Generate(synth.Config{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls, err := nlp.NewClassifier(nlp.SeedDictionary(), nlp.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Build(&tr.Corpus, cls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 8} {
-		got, err := BuildConcurrent(&tr.Corpus, cls, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d: database differs from sequential Build", workers)
-		}
-	}
-	if _, err := BuildConcurrent(nil, cls, 0); err == nil {
-		t.Error("nil corpus: want error")
-	}
-	if _, err := BuildConcurrent(&tr.Corpus, nil, 0); err == nil {
-		t.Error("nil classifier: want error")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"avfda/internal/nlp"
 	"avfda/internal/ontology"
 	"avfda/internal/schema"
 )
@@ -33,34 +32,6 @@ type DB struct {
 	Accidents []schema.Accident
 	// Events joins each disengagement with its fault tag and category.
 	Events []Event
-}
-
-// Build classifies every disengagement cause in the corpus and assembles
-// the database.
-func Build(corpus *schema.Corpus, cls *nlp.Classifier) (*DB, error) {
-	return BuildConcurrent(corpus, cls, 1)
-}
-
-// BuildConcurrent classifies the disengagement causes across a bounded
-// worker pool before the ordered consolidation step. The classifier is
-// read-only, so the database is identical to Build's at any worker count;
-// workers <= 0 selects GOMAXPROCS.
-func BuildConcurrent(corpus *schema.Corpus, cls *nlp.Classifier, workers int) (*DB, error) {
-	if corpus == nil {
-		return nil, errors.New("core: nil corpus")
-	}
-	if cls == nil {
-		return nil, errors.New("core: nil classifier")
-	}
-	causes := make([]string, len(corpus.Disengagements))
-	for i, d := range corpus.Disengagements {
-		causes[i] = d.Cause
-	}
-	tags := make([]ontology.Tag, len(causes))
-	for i, r := range cls.ClassifyAllConcurrent(causes, workers) {
-		tags[i] = r.Tag
-	}
-	return BuildWithTags(corpus, tags)
 }
 
 // BuildWithTags assembles a database from pre-assigned tags (ground truth

@@ -17,7 +17,8 @@ var GoroLeak = &Analyzer{
 	Doc: "flags untethered `go` statements (no WaitGroup/channel/context " +
 		"link to the parent) in concurrent packages",
 	// The packages whose goroutines must be tethered: the pipeline's
-	// fan-out stages, the serving layer, the load harness's open-loop
+	// fan-out stages and the worker pool they share (internal/par), the
+	// serving layer, the load harness's open-loop
 	// arrival generators, and snapshot2's background verification. A
 	// goroutine with no WaitGroup, channel, or context connection to its
 	// parent can neither be awaited nor cancelled — it leaks on error
@@ -28,6 +29,7 @@ var GoroLeak = &Analyzer{
 		"internal/parse",
 		"internal/nlp",
 		"internal/ocr",
+		"internal/par",
 		"internal/serve",
 		"internal/loadgen",
 		"internal/snapshot2",

@@ -30,11 +30,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
+
+	"avfda/internal/par"
 )
 
 // An Analyzer describes one invariant check. It is stateless: Run is invoked
@@ -169,58 +169,30 @@ type Timings map[string]time.Duration
 // Run applies every analyzer to every package and returns the surviving
 // diagnostics sorted by file, line, column, and analyzer name — a
 // deterministic order regardless of analyzer scheduling. Packages are
-// analyzed across GOMAXPROCS workers; use RunParallel to bound the pool.
+// analyzed across GOMAXPROCS workers; use RunTimed to bound the pool.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunParallel(pkgs, analyzers, 0)
-}
-
-// RunParallel is Run with an explicit worker count; workers <= 0 selects
-// GOMAXPROCS.
-func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(pkgs, analyzers, workers)
+	diags, _, err := RunTimed(pkgs, analyzers, 0)
 	return diags, err
 }
 
-// RunTimed is RunParallel returning per-analyzer cumulative wall times
-// alongside the diagnostics. Scheduling cannot affect the diagnostics:
-// per-package results are collected by index (the first failing package in
-// input order wins as the returned error) and the final sort fixes the
-// diagnostic order. Timings are summed over packages, so only their
-// magnitude — not the result — varies with machine load.
+// RunTimed is Run with an explicit worker count (workers <= 0 selects
+// GOMAXPROCS), returning per-analyzer cumulative wall times alongside the
+// diagnostics. Scheduling cannot affect the diagnostics: per-package
+// results are collected by index (the first failing package in input order
+// wins as the returned error) and the final sort fixes the diagnostic
+// order. Timings are summed over packages, so only their magnitude — not
+// the result — varies with machine load.
 func RunTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, Timings, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	type pkgResult struct {
 		diags []Diagnostic
 		times Timings
 		err   error
 	}
 	results := make([]pkgResult, len(pkgs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				diags, times, err := runPackage(pkgs[i], analyzers)
-				results[i] = pkgResult{diags, times, err}
-			}
-		}()
-	}
-	for i := range pkgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	par.Each(len(pkgs), workers, func(i int) {
+		diags, times, err := runPackage(pkgs[i], analyzers)
+		results[i] = pkgResult{diags, times, err}
+	})
 
 	var diags []Diagnostic
 	times := Timings{}

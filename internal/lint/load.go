@@ -27,10 +27,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
+
+	"avfda/internal/par"
 )
 
 // A Package is one loaded, type-checked unit of analysis.
@@ -150,8 +151,8 @@ type listedPkg struct {
 
 // stdExports caches the stdlib export-data listing process-wide: `go list
 // -export -json std` costs a subprocess plus a full stdlib walk, and every
-// loader (one per LoadModule/LoadFixture call — the analyzer fixture tests
-// alone create dozens) needs the identical answer.
+// loader (one per LoadModuleParallel/LoadFixture call — the analyzer
+// fixture tests alone create dozens) needs the identical answer.
 var stdExports = sync.OnceValues(func() (map[string]string, error) {
 	out, err := exec.Command("go", "list", "-export", "-json=ImportPath,Export", "std").Output()
 	if err != nil {
@@ -192,8 +193,8 @@ type loader struct {
 	// packages shadow everything else (analysistest fixtures).
 	fixtureRoot string
 	// listed maps import paths to their go-list records for source
-	// type-checking of in-module dependencies. Read-only after LoadModule's
-	// setup phase.
+	// type-checking of in-module dependencies. Read-only after
+	// LoadModuleParallel's setup phase.
 	listed map[string]listedPkg
 	// exports maps import paths to compiled export-data files (shared,
 	// read-only, from stdExports).
@@ -360,21 +361,14 @@ func (l *loader) check(path, dir string, files []string) (*Package, error) {
 	}, nil
 }
 
-// LoadModule loads the packages matching the go-list patterns (typically
-// "./...") from the module rooted at or above dir, type-checking each
-// together with its in-package test files; external (_test package) test
-// files become a separate *Package with a "_test" path suffix. Targets are
-// type-checked across GOMAXPROCS workers; use LoadModuleParallel to bound
-// the pool.
-func LoadModule(dir string, patterns ...string) ([]*Package, error) {
-	return LoadModuleParallel(dir, 0, patterns...)
-}
-
-// LoadModuleParallel is LoadModule with an explicit worker count for the
-// target type-checking pool; workers <= 0 selects GOMAXPROCS. Results are
-// in target order regardless of scheduling, and a target that fails to
-// type-check always surfaces as an error (the first such, in target order)
-// — never as a silently missing package.
+// LoadModuleParallel loads the packages matching the go-list patterns
+// (typically "./...") from the module rooted at or above dir, type-checking
+// each together with its in-package test files; external (_test package)
+// test files become a separate *Package with a "_test" path suffix.
+// Targets are type-checked across a pool of workers; workers <= 0 selects
+// GOMAXPROCS. Results are in target order regardless of scheduling, and a
+// target that fails to type-check always surfaces as an error (the first
+// such, in target order) — never as a silently missing package.
 func LoadModuleParallel(dir string, workers int, patterns ...string) ([]*Package, error) {
 	l, err := newLoader("")
 	if err != nil {
@@ -416,16 +410,6 @@ func LoadModuleParallel(dir string, workers int, patterns ...string) ([]*Package
 		l.listed[base] = p
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	// Fan the targets across the pool. results is indexed by target so the
 	// output order (and the choice of which error wins) is deterministic.
 	type targetResult struct {
@@ -433,23 +417,10 @@ func LoadModuleParallel(dir string, workers int, patterns ...string) ([]*Package
 		err  error
 	}
 	results := make([]targetResult, len(targets))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				pkgs, err := l.checkTarget(targets[i])
-				results[i] = targetResult{pkgs, err}
-			}
-		}()
-	}
-	for i := range targets {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	par.Each(len(targets), workers, func(i int) {
+		pkgs, err := l.checkTarget(targets[i])
+		results[i] = targetResult{pkgs, err}
+	})
 
 	var pkgs []*Package
 	for _, r := range results {

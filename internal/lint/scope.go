@@ -21,6 +21,9 @@ var scopeExemptions = map[string]map[string]string{
 			"internal/ocr", "internal/ontology", "internal/parse",
 			"internal/pipeline", "internal/reliability", "internal/scandoc",
 			"internal/schema", "internal/stpa", "internal/synth"),
+		exemptPkgs("no maps: the worker pool hands out indices from an "+
+			"atomic counter and every result lands in its caller's slot",
+			"internal/par"),
 	),
 	"nondeterm": mergeExempt(
 		lintToolingExempt,
@@ -40,6 +43,10 @@ var scopeExemptions = map[string]map[string]string{
 			"internal/ontology", "internal/query", "internal/reliability",
 			"internal/report", "internal/scandoc", "internal/schema",
 			"internal/stats", "internal/stpa"),
+		exemptPkgs("scheduling-only: the worker pool reads no clock and no "+
+			"randomness, and which worker runs an index cannot reach the "+
+			"output, since each index writes only its own result slot",
+			"internal/par"),
 	),
 	"goroleak": mergeExempt(
 		lintToolingExempt,
@@ -62,6 +69,10 @@ var scopeExemptions = map[string]map[string]string{
 			"internal/reliability", "internal/report", "internal/scandoc",
 			"internal/schema", "internal/snapshot2", "internal/stats",
 			"internal/stpa", "internal/synth"),
+		exemptPkgs("context-free by design: the worker pool takes no "+
+			"context, and callers that must stop early (ocr's DecodeAll) "+
+			"check their own context inside the function they hand it",
+			"internal/par"),
 	),
 }
 

@@ -2,11 +2,10 @@ package nlp
 
 import (
 	"errors"
-	"runtime"
 	"sort"
-	"sync"
 
 	"avfda/internal/ontology"
+	"avfda/internal/par"
 )
 
 // TieBreak selects how the classifier resolves equal vote counts between
@@ -239,48 +238,19 @@ func (c *Classifier) vote(id int32, weight int, hits []int32, scores *[len(tagPr
 	return append(hits, id)
 }
 
-// ClassifyAll maps each text through Classify, fanning the work out across
-// GOMAXPROCS workers. Output order matches input order and is identical to
-// a sequential loop: the classifier is read-only after construction and
-// Classify is a pure function of its input.
-func (c *Classifier) ClassifyAll(texts []string) []Result {
-	return c.ClassifyAllConcurrent(texts, 0)
-}
-
-// ClassifyAllConcurrent maps each text through Classify with a bounded
-// number of workers. Each distinct text is classified once, the distinct
-// texts are sharded into contiguous chunks, and the results fan back out
-// in input order; equal texts share one Result, Matched slice included.
-// Workers <= 0 selects GOMAXPROCS; workers == 1 runs sequentially. Results
-// are identical at any worker count.
-func (c *Classifier) ClassifyAllConcurrent(texts []string, workers int) []Result {
+// ClassifyAll maps each text through Classify across a bounded worker
+// pool (workers <= 0 selects GOMAXPROCS, 1 runs in order on the caller's
+// goroutine). Each distinct text is classified once and the results fan
+// back out in input order; equal texts share one Result, Matched slice
+// included. The classifier is read-only after construction and Classify is
+// a pure function of its input, so results are identical at any worker
+// count.
+func (c *Classifier) ClassifyAll(texts []string, workers int) []Result {
 	uniq, _, slot := distinct(texts)
 	res := make([]Result, len(uniq))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers <= 1 {
-		for i, t := range uniq {
-			res[i] = c.Classify(t)
-		}
-	} else {
-		chunk := (len(uniq) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for lo := 0; lo < len(uniq); lo += chunk {
-			hi := min(lo+chunk, len(uniq))
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					res[i] = c.Classify(uniq[i])
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	par.Each(len(uniq), workers, func(i int) {
+		res[i] = c.Classify(uniq[i])
+	})
 	out := make([]Result, len(texts))
 	for i, s := range slot {
 		out[i] = res[s]

@@ -310,13 +310,13 @@ func TestClassifyAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := cls.ClassifyAll([]string{"watchdog error", "software crash"})
+	res := cls.ClassifyAll([]string{"watchdog error", "software crash"}, 1)
 	if len(res) != 2 || res[0].Tag != ontology.TagHangCrash || res[1].Tag != ontology.TagSoftware {
 		t.Errorf("ClassifyAll = %v", res)
 	}
 }
 
-func TestClassifyAllConcurrentMatchesSequential(t *testing.T) {
+func TestClassifyAllMatchesSequential(t *testing.T) {
 	cls, err := NewClassifier(SeedDictionary(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -340,12 +340,12 @@ func TestClassifyAllConcurrentMatchesSequential(t *testing.T) {
 		want[i] = cls.Classify(s)
 	}
 	for _, workers := range []int{0, 1, 3, 8, 64, len(texts) + 7} {
-		got := cls.ClassifyAllConcurrent(texts, workers)
+		got := cls.ClassifyAll(texts, workers)
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("workers=%d: results differ from sequential classification", workers)
 		}
 	}
-	if got := cls.ClassifyAllConcurrent(nil, 4); len(got) != 0 {
+	if got := cls.ClassifyAll(nil, 4); len(got) != 0 {
 		t.Errorf("nil input returned %d results", len(got))
 	}
 }
@@ -629,7 +629,7 @@ func recoveredCauses(t *testing.T, seed int64) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := engine.DecodeAllConcurrent(context.Background(), scandoc.Render(&truth.Corpus), 0)
+	decoded, err := engine.DecodeAll(context.Background(), scandoc.Render(&truth.Corpus), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,10 +637,7 @@ func recoveredCauses(t *testing.T, seed int64) []string {
 	for _, d := range decoded {
 		inputs = append(inputs, parse.Input{DocID: d.DocID, Lines: d.Lines})
 	}
-	corpus, _, err := parse.ParseConcurrent(inputs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus, _ := parse.Parse(inputs, 0)
 	causes := make([]string, len(corpus.Disengagements))
 	for i, d := range corpus.Disengagements {
 		causes[i] = d.Cause
@@ -713,7 +710,7 @@ func TestCompiledClassifierMatchesReference(t *testing.T) {
 }
 
 // checkClassifier compares Classify on each distinct text, and
-// ClassifyAllConcurrent on every text, with the reference scan.
+// ClassifyAll on every text, with the reference scan.
 func checkClassifier(t *testing.T, name string, dict *Dictionary, opts Options, texts []string) {
 	t.Helper()
 	cls, err := NewClassifier(dict, opts)
@@ -729,9 +726,9 @@ func checkClassifier(t *testing.T, name string, dict *Dictionary, opts Options, 
 			t.Fatalf("%s: Classify(%q) = %+v, reference %+v", name, text, got, want[text])
 		}
 	}
-	for i, got := range cls.ClassifyAllConcurrent(texts, 2) {
+	for i, got := range cls.ClassifyAll(texts, 2) {
 		if !reflect.DeepEqual(got, want[texts[i]]) {
-			t.Fatalf("%s: ClassifyAllConcurrent[%d] = %+v, reference %+v", name, i, got, want[texts[i]])
+			t.Fatalf("%s: ClassifyAll[%d] = %+v, reference %+v", name, i, got, want[texts[i]])
 		}
 	}
 }

@@ -22,10 +22,9 @@ import (
 	"errors"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 
+	"avfda/internal/par"
 	"avfda/internal/scandoc"
 )
 
@@ -112,9 +111,9 @@ type Result struct {
 // Engine decodes scandoc documents under a noise model.
 //
 // Noise is derived per document from Config.Seed and the document ID, so
-// every document's decode is independent of decode order: Decode, DecodeAll,
-// and DecodeAllConcurrent all produce byte-identical results for the same
-// configuration.
+// every document's decode is independent of decode order: Decode and
+// DecodeAll at any worker count produce byte-identical results for the
+// same configuration.
 type Engine struct {
 	cfg Config
 }
@@ -170,59 +169,20 @@ func (e *Engine) Decode(doc *scandoc.Document) Result {
 	return res
 }
 
-// DecodeAll decodes every document sequentially.
-func (e *Engine) DecodeAll(docs []scandoc.Document) []Result {
+// DecodeAll decodes the document set across a bounded worker pool
+// (workers <= 0 selects GOMAXPROCS, 1 decodes in order on the caller's
+// goroutine). Results are in input order and identical at any worker
+// count, since noise is per-document, not per-order. A canceled context
+// abandons the remaining documents and returns the context error.
+func (e *Engine) DecodeAll(ctx context.Context, docs []scandoc.Document, workers int) ([]Result, error) {
 	out := make([]Result, len(docs))
-	for i := range docs {
-		out[i] = e.Decode(&docs[i])
-	}
-	return out
-}
-
-// DecodeAllConcurrent decodes the document set with a bounded worker pool.
-// Results are identical to DecodeAll (noise is per-document, not
-// per-order) and returned in input order. A canceled context abandons
-// remaining work and returns the context error; workers <= 0 selects
-// GOMAXPROCS.
-func (e *Engine) DecodeAllConcurrent(ctx context.Context, docs []scandoc.Document, workers int) ([]Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	par.Each(len(docs), workers, func(i int) {
+		if ctx.Err() == nil {
+			out[i] = e.Decode(&docs[i])
 		}
-		return e.DecodeAll(docs), nil
-	}
-	out := make([]Result, len(docs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				out[i] = e.Decode(&docs[i])
-			}
-		}()
-	}
-	var ctxErr error
-feed:
-	for i := range docs {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			ctxErr = ctx.Err()
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if ctxErr != nil {
-		return nil, ctxErr
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -178,7 +178,10 @@ func TestDecodeAll(t *testing.T) {
 		*docOf([]string{"one"}, false),
 		*docOf([]string{"two"}, false),
 	}
-	res := eng.DecodeAll(docs)
+	res, err := eng.DecodeAll(context.Background(), docs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 2 || res[0].Lines[0] != "one" || res[1].Lines[0] != "two" {
 		t.Errorf("DecodeAll = %+v", res)
 	}
@@ -219,7 +222,7 @@ func TestNoiseMonotonicityProperty(t *testing.T) {
 	}
 }
 
-func TestDecodeAllConcurrentMatchesSequential(t *testing.T) {
+func TestDecodeAllMatchesSequential(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SubstitutionRate = 0.01
 	eng, err := NewEngine(cfg)
@@ -234,9 +237,12 @@ func TestDecodeAllConcurrentMatchesSequential(t *testing.T) {
 		}, i%3 == 0)
 		docs[i].ID = fmt.Sprintf("doc-%02d", i)
 	}
-	seq := eng.DecodeAll(docs)
+	seq := make([]Result, len(docs))
+	for i := range docs {
+		seq[i] = eng.Decode(&docs[i])
+	}
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		par, err := eng.DecodeAllConcurrent(context.Background(), docs, workers)
+		par, err := eng.DecodeAll(context.Background(), docs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -256,7 +262,7 @@ func TestDecodeAllConcurrentMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestDecodeAllConcurrentCancellation(t *testing.T) {
+func TestDecodeAllCancellation(t *testing.T) {
 	eng, err := NewEngine(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -268,10 +274,10 @@ func TestDecodeAllConcurrentCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already canceled: must return promptly with the ctx error
-	if _, err := eng.DecodeAllConcurrent(ctx, docs, 4); err == nil {
+	if _, err := eng.DecodeAll(ctx, docs, 4); err == nil {
 		t.Error("canceled context: want error")
 	}
-	if _, err := eng.DecodeAllConcurrent(ctx, docs, 1); err == nil {
+	if _, err := eng.DecodeAll(ctx, docs, 1); err == nil {
 		t.Error("canceled context, single worker: want error")
 	}
 }

@@ -10,13 +10,12 @@ package parse
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
+	"avfda/internal/par"
 	"avfda/internal/scandoc"
 	"avfda/internal/schema"
 )
@@ -51,47 +50,19 @@ func (r *Report) DefectRate() float64 {
 	return float64(len(r.Defects)) / float64(total)
 }
 
-// Parse converts the document set into a normalized corpus.
-func Parse(inputs []Input) (*schema.Corpus, *Report, error) {
-	return ParseConcurrent(inputs, 1)
-}
-
-// ParseConcurrent parses the document set with a bounded worker pool.
-// Documents are independent (vehicle-ID canonicalization is scoped to one
-// report), so each worker parses into a private corpus/report fragment and
-// the fragments are merged in input order: output is byte-identical to
-// Parse for any worker count. Workers <= 0 selects GOMAXPROCS.
-func ParseConcurrent(inputs []Input, workers int) (*schema.Corpus, *Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
+// Parse converts the document set into a normalized corpus across a
+// bounded worker pool (workers <= 0 selects GOMAXPROCS, 1 parses in order
+// on the caller's goroutine). Documents are independent (vehicle-ID
+// canonicalization is scoped to one report), so each document parses into
+// a private corpus/report fragment and the fragments are merged in input
+// order: output is byte-identical at any worker count. Damaged rows and
+// documents become Report.Defects; parsing itself never fails.
+func Parse(inputs []Input, workers int) (*schema.Corpus, *Report) {
 	corpora := make([]*schema.Corpus, len(inputs))
 	reports := make([]*Report, len(inputs))
-	if workers <= 1 {
-		for i := range inputs {
-			corpora[i], reports[i] = parseDocument(inputs[i])
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					corpora[i], reports[i] = parseDocument(inputs[i])
-				}
-			}()
-		}
-		for i := range inputs {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	par.Each(len(inputs), workers, func(i int) {
+		corpora[i], reports[i] = parseDocument(inputs[i])
+	})
 
 	corpus := &schema.Corpus{}
 	rep := &Report{Documents: len(inputs)}
@@ -104,7 +75,7 @@ func ParseConcurrent(inputs []Input, workers int) (*schema.Corpus, *Report, erro
 		rep.SkippedDocs += reports[i].SkippedDocs
 		rep.Defects = append(rep.Defects, reports[i].Defects...)
 	}
-	return corpus, rep, nil
+	return corpus, rep
 }
 
 // parseDocument parses one document into its own corpus/report fragment.

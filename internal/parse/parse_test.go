@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -23,14 +24,15 @@ func renderAndParse(t *testing.T, c *schema.Corpus, cfg ocr.Config) (*schema.Cor
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inputs []Input
-	for _, res := range eng.DecodeAll(docs) {
-		inputs = append(inputs, Input{DocID: res.DocID, Lines: res.Lines})
-	}
-	out, rep, err := Parse(inputs)
+	decoded, err := eng.DecodeAll(context.Background(), docs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var inputs []Input
+	for _, res := range decoded {
+		inputs = append(inputs, Input{DocID: res.DocID, Lines: res.Lines})
+	}
+	out, rep := Parse(inputs, 1)
 	return out, rep
 }
 
@@ -152,10 +154,7 @@ func TestParseDefectsOnDamage(t *testing.T) {
 		"SECTION 2: DISENGAGEMENT EVENTS (1 TOTAL)",
 		"3/14/15 — 1:25:00 PM — Nissan-1-car01 — Software module froze — highway — sunny — 0.9 s — manual",
 	}
-	corpus, rep, err := Parse([]Input{{DocID: "d", Lines: doc}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus, rep := Parse([]Input{{DocID: "d", Lines: doc}}, 1)
 	if len(rep.Defects) != 1 {
 		t.Fatalf("defects = %+v, want exactly 1", rep.Defects)
 	}
@@ -180,10 +179,7 @@ func TestParseRepairsNumericConfusions(t *testing.T) {
 		"",
 		"SECTION 2: DISENGAGEMENT EVENTS (0 TOTAL)",
 	}
-	corpus, rep, err := Parse([]Input{{DocID: "d", Lines: doc}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus, rep := Parse([]Input{{DocID: "d", Lines: doc}}, 1)
 	if len(rep.Defects) != 0 {
 		t.Fatalf("defects: %+v", rep.Defects)
 	}
@@ -207,10 +203,7 @@ func TestParseFuzzyHeaderKeys(t *testing.T) {
 		"Fleet Size: 49",
 		"SECTION 2: DISENGAGEMENT EVENTS (0 TOTAL)",
 	}
-	corpus, rep, err := Parse([]Input{{DocID: "d", Lines: doc}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus, rep := Parse([]Input{{DocID: "d", Lines: doc}}, 1)
 	if rep.SkippedDocs != 0 {
 		t.Fatalf("skipped: %+v", rep.Defects)
 	}
@@ -231,10 +224,7 @@ func TestParseMergedManufacturerLine(t *testing.T) {
 		"Fleet Size: 2",
 		"SECTION 2: DISENGAGEMENT EVENTS (0 TOTAL)",
 	}
-	corpus, rep, err := Parse([]Input{{DocID: "d", Lines: doc}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus, rep := Parse([]Input{{DocID: "d", Lines: doc}}, 1)
 	if rep.SkippedDocs != 0 {
 		t.Fatalf("merged header skipped the document: %+v", rep.Defects)
 	}
@@ -252,23 +242,17 @@ func TestParseUnknownManufacturerSkips(t *testing.T) {
 		"Manufacturer: Atlantis Motors",
 		"Reporting Period: 2015-2016",
 	}
-	corpus, rep, err := Parse([]Input{{DocID: "d", Lines: doc}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus, rep := Parse([]Input{{DocID: "d", Lines: doc}}, 1)
 	if rep.SkippedDocs != 1 || len(corpus.Fleets) != 0 {
 		t.Errorf("skipped=%d fleets=%d", rep.SkippedDocs, len(corpus.Fleets))
 	}
 }
 
 func TestParseEmptyAndGarbage(t *testing.T) {
-	corpus, rep, err := Parse([]Input{
+	corpus, rep := Parse([]Input{
 		{DocID: "empty"},
 		{DocID: "garbage", Lines: []string{"totally unrelated text", "more of it"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	if rep.SkippedDocs != 2 {
 		t.Errorf("skipped = %d, want 2", rep.SkippedDocs)
 	}
@@ -301,10 +285,7 @@ func TestParseRobustToGarbageProperty(t *testing.T) {
 		case 1:
 			lines = append([]string{"REPORT OF TRAFFIC COLLISION INVOLVING AN AUTONOMOUS VEHICLE (OL 316)"}, lines...)
 		}
-		corpus, rep, err := Parse([]Input{{DocID: "fuzz", Lines: lines}})
-		if err != nil {
-			return false
-		}
+		corpus, rep := Parse([]Input{{DocID: "fuzz", Lines: lines}}, 1)
 		if rep == nil || corpus == nil {
 			return false
 		}
@@ -512,19 +493,17 @@ func TestParseConcurrentMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var inputs []Input
-	for _, res := range eng.DecodeAll(docs) {
-		inputs = append(inputs, Input{DocID: res.DocID, Lines: res.Lines})
-	}
-	wantCorpus, wantRep, err := Parse(inputs)
+	decoded, err := eng.DecodeAll(context.Background(), docs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var inputs []Input
+	for _, res := range decoded {
+		inputs = append(inputs, Input{DocID: res.DocID, Lines: res.Lines})
+	}
+	wantCorpus, wantRep := Parse(inputs, 1)
 	for _, workers := range []int{0, 2, 4, 16, len(inputs) + 1} {
-		gotCorpus, gotRep, err := ParseConcurrent(inputs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		gotCorpus, gotRep := Parse(inputs, workers)
 		if !reflect.DeepEqual(wantCorpus, gotCorpus) {
 			t.Errorf("workers=%d: corpus differs from sequential parse", workers)
 		}
@@ -535,10 +514,7 @@ func TestParseConcurrentMatchesSequential(t *testing.T) {
 }
 
 func TestParseConcurrentEmptyInput(t *testing.T) {
-	corpus, rep, err := ParseConcurrent(nil, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	corpus, rep := Parse(nil, 8)
 	if rep.Documents != 0 || rep.RowsParsed != 0 || len(rep.Defects) != 0 {
 		t.Errorf("empty input report = %+v", rep)
 	}

@@ -16,16 +16,21 @@
 //
 // # Concurrency model
 //
-// Stages II and III fan out across bounded worker pools sized by
-// Config.Workers (<= 0 selects GOMAXPROCS, 1 forces sequential execution):
-// OCR decoding (ocr.DecodeAllConcurrent), parsing (parse.ParseConcurrent,
-// one worker per document), and cause classification
-// (nlp.Classifier.ClassifyAllConcurrent, contiguous shards of the distinct
-// cause texts). Every parallel step is deterministic by construction — OCR
-// noise is derived per document, documents parse into private fragments
-// merged in input order, and the classifier is read-only after
-// construction — so pipeline output is byte-identical for any worker
-// count and any seed.
+// Stages II and III fan out over one worker pool, par.Each, sized by
+// Config.Workers (<= 0 selects GOMAXPROCS, 1 runs in order on the
+// caller's goroutine): OCR decoding (ocr.Engine.DecodeAll, one index per
+// document), parsing (parse.Parse, one index per document), and cause
+// classification (nlp.Classifier.ClassifyAll, one index per distinct
+// cause text). Each index writes only its own result slot, and every
+// parallel step is deterministic by construction — OCR noise is derived
+// per document, documents parse into private fragments merged in input
+// order, and the classifier is read-only after construction — so pipeline
+// output is byte-identical for any worker count and any seed.
+//
+// There is one Stage II-IV path. RunOnCorpus renders and digitizes a
+// corpus, then hands the decoded text to RunOnDocuments, which parses,
+// classifies and consolidates; avpipe -in enters at RunOnDocuments with
+// documents read from disk.
 //
 // Stage III works per distinct cause text: a study's ~5.3k causes hold
 // only a few hundred distinct texts. Dictionary expansion tokenizes each
@@ -88,8 +93,9 @@ func DefaultConfig() Config {
 }
 
 // StageTimings records per-stage wall-clock time for one pipeline run.
-// Stages that did not execute (Synth under RunOnCorpus, Expand when
-// dictionary expansion is disabled) stay zero.
+// Stages that did not execute (Synth under RunOnCorpus; Synth, Render and
+// OCR under RunOnDocuments; Expand when dictionary expansion is disabled)
+// stay zero.
 type StageTimings struct {
 	// Synth is Stage I corpus generation (Run only).
 	Synth time.Duration
@@ -226,7 +232,7 @@ type Result struct {
 	// Stages breaks the run's wall-clock time down per stage.
 	Stages StageTimings
 	// Elapsed is the sum of the recorded stage timings (Stages.Total())
-	// in both Run and RunOnCorpus.
+	// in Run, RunOnCorpus and RunOnDocuments.
 	Elapsed time.Duration
 }
 
@@ -256,16 +262,15 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // RunOnCorpus executes Stages II-IV on an existing normalized corpus: it
-// renders the corpus to documents, digitizes, parses, classifies, and
-// consolidates. Use this entry point for real (non-synthetic) data that
-// has already been transcribed into schema form. Result.Elapsed is the sum
-// of the Stage II-IV timings (Stages.Synth stays zero). The context governs
-// the whole run as in Run.
+// renders the corpus to documents and digitizes them, then hands the
+// decoded text to RunOnDocuments. Use this entry point for real
+// (non-synthetic) data that has already been transcribed into schema
+// form. Result.Elapsed is the sum of the Stage II-IV timings (Stages.Synth
+// stays zero). The context governs the whole run as in Run.
 func RunOnCorpus(ctx context.Context, cfg Config, corpus *schema.Corpus) (*Result, error) {
-	var st StageTimings
 	mark := time.Now()
 	docs := scandoc.Render(corpus)
-	st.Render = time.Since(mark)
+	render := time.Since(mark)
 
 	engine, err := ocr.NewEngine(cfg.OCR)
 	if err != nil {
@@ -274,7 +279,7 @@ func RunOnCorpus(ctx context.Context, cfg Config, corpus *schema.Corpus) (*Resul
 	// Per-document noise derivation makes parallel decoding byte-identical
 	// to sequential, so digitization fans out across cores.
 	mark = time.Now()
-	decoded, err := engine.DecodeAllConcurrent(ctx, docs, cfg.Workers)
+	decoded, err := engine.DecodeAll(ctx, docs, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stage II (ocr): %w", err)
 	}
@@ -294,16 +299,32 @@ func RunOnCorpus(ctx context.Context, cfg Config, corpus *schema.Corpus) (*Resul
 	if ocrStats.Documents > 0 {
 		ocrStats.MeanConfidence = confSum / float64(ocrStats.Documents)
 	}
-	st.OCR = time.Since(mark)
+	ocrElapsed := time.Since(mark)
 
+	res, err := RunOnDocuments(ctx, cfg, inputs)
+	if err != nil {
+		return nil, err
+	}
+	res.OCR = ocrStats
+	res.Stages.Render = render
+	res.Stages.OCR = ocrElapsed
+	res.Elapsed = res.Stages.Total()
+	return res, nil
+}
+
+// RunOnDocuments executes the post-OCR half of Stages II-IV on decoded
+// document text: it parses, optionally expands the dictionary, classifies,
+// and consolidates. Use this entry point for documents that are already
+// text, such as avgen's rendered corpus. Result.OCR and the Synth, Render
+// and OCR stage timings stay zero; Result.Elapsed is the sum of the rest.
+// The context governs the run as in Run.
+func RunOnDocuments(ctx context.Context, cfg Config, inputs []parse.Input) (*Result, error) {
+	var st StageTimings
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: cancelled before stage II (parse): %w", err)
 	}
-	mark = time.Now()
-	recovered, parseReport, err := parse.ParseConcurrent(inputs, cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: stage II (parse): %w", err)
-	}
+	mark := time.Now()
+	recovered, parseReport := parse.Parse(inputs, cfg.Workers)
 	st.Parse = time.Since(mark)
 
 	if err := ctx.Err(); err != nil {
@@ -328,7 +349,7 @@ func RunOnCorpus(ctx context.Context, cfg Config, corpus *schema.Corpus) (*Resul
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stage III: %w", err)
 	}
-	classified := cls.ClassifyAllConcurrent(causes, cfg.Workers)
+	classified := cls.ClassifyAll(causes, cfg.Workers)
 	tags := make([]ontology.Tag, len(classified))
 	for i, r := range classified {
 		tags[i] = r.Tag
@@ -348,7 +369,6 @@ func RunOnCorpus(ctx context.Context, cfg Config, corpus *schema.Corpus) (*Resul
 		Recovered:      recovered,
 		DB:             db,
 		ParseReport:    parseReport,
-		OCR:            ocrStats,
 		DictionarySize: dict.Size(),
 		Stages:         st,
 		Elapsed:        st.Total(),

@@ -352,4 +352,12 @@ func TestRunHonorsCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("RunOnCorpus err = %v, want errors.Is(err, context.Canceled)", err)
 	}
+
+	_, err = RunOnDocuments(ctx, DefaultConfig(), nil)
+	if err == nil {
+		t.Fatal("RunOnDocuments with a cancelled context: want error, got nil")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("RunOnDocuments err = %v, want errors.Is(err, context.Canceled)", err)
+	}
 }
