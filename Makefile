@@ -31,20 +31,15 @@ race:
 # Build the analyzer suite once, run it over the whole repository, and
 # fold the per-analyzer wall times into the day's BENCH artifact so the
 # lint cost is tracked like any other perf trajectory. See DESIGN.md
-# systems #21, #25, and #26 for what each analyzer enforces. Two runs:
-# the first is uncached, keeping the cold full-suite cost honest; the
-# second goes through the .lintcache findings cache, so its LintWarm/
-# keys track the incremental path (fully warm once the cache has been
-# populated by a prior `make lint`). The fold runs only when the tree is
-# clean — a lint failure fails the target first.
+# systems #21, #25, and #26 for what each analyzer enforces. The fold
+# runs only when the tree is clean — a lint failure fails the target
+# first.
 lint:
 	$(GO) build -o bin/avlint ./cmd/avlint
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	./bin/avlint -timings lint-timings.json ./...
-	./bin/avlint -cache-dir .lintcache -timings-prefix LintWarm \
-		-timings lint-timings-warm.json ./...
 	./bin/benchjson -merge BENCH_$(BENCH_DATE).json -flat lint-timings.json \
-		-flat lint-timings-warm.json -o BENCH_$(BENCH_DATE).json < /dev/null
+		-o BENCH_$(BENCH_DATE).json < /dev/null
 	@echo "folded lint timings into BENCH_$(BENCH_DATE).json"
 
 # Short fuzz smoke over the snapshot reader: arbitrary bytes must yield a

@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	avlint [-disable name,name] [-list] [-json] [-gha] [-timings file]
-//	       [-timings-prefix name] [-cache-dir dir] [-parallel n] [packages]
+//	avlint [-C dir] [-disable name,name] [-list] [-json] [-gha]
+//	       [-timings file] [-parallel n] [packages]
 //
 // With no package patterns it lints ./... from the current directory. Each
 // diagnostic prints as
@@ -19,15 +19,8 @@
 // the same per-analyzer times plus the total as a flat benchjson-style
 // JSON object ({"Lint/total_ns": ..., "Lint/<analyzer>_ns": ...}) to the
 // named file, so the lint job's cost lands in BENCH_<date>.json next to
-// the benchmark numbers; -timings-prefix replaces the "Lint" key prefix,
-// keeping a cached run's numbers ("LintWarm/...") from colliding with the
-// cold run's. -parallel bounds the loading/analysis worker pools
-// (default: all cores); wall time is reported on stderr either way.
-//
-// -cache-dir enables the incremental findings cache (lint.RunCachedTimed):
-// packages whose content, analyzer set, and in-module dependency closure
-// are unchanged are served from the cache byte-identically, and only the
-// rest are re-analyzed. The stderr summary reports the hit/miss split.
+// the benchmark numbers. -parallel bounds the loading/analysis worker
+// pools (default: all cores); wall time is reported on stderr either way.
 //
 // Exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 when loading or analysis itself failed — a package that
@@ -64,8 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "print findings as a JSON array")
 	gha := fs.Bool("gha", false, "print findings as GitHub Actions ::error annotations")
 	timingsOut := fs.String("timings", "", "write per-analyzer wall times as flat benchjson JSON to this file")
-	timingsPrefix := fs.String("timings-prefix", "Lint", "key prefix for the -timings file (e.g. LintWarm for cached runs)")
-	cacheDir := fs.String("cache-dir", "", "findings cache directory; warm runs re-analyze only changed packages")
 	parallel := fs.Int("parallel", 0, "worker pool size for loading and analysis (0 = all cores)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -88,33 +79,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	var (
-		diags     []lint.Diagnostic
-		timings   lint.Timings
-		npkgs     int
-		cacheNote string
-	)
-	if *cacheDir != "" {
-		var stats lint.CacheStats
-		diags, timings, stats, err = lint.RunCachedTimed(*dir, *cacheDir, *parallel, analyzers, patterns...)
-		if err != nil {
-			fmt.Fprintln(stderr, "avlint:", err)
-			return 2
-		}
-		npkgs = stats.Hits + stats.Misses
-		cacheNote = fmt.Sprintf(", cache %d hit(s) %d miss(es)", stats.Hits, stats.Misses)
-	} else {
-		pkgs, err := lint.LoadModuleParallel(*dir, *parallel, patterns...)
-		if err != nil {
-			fmt.Fprintln(stderr, "avlint:", err)
-			return 2
-		}
-		diags, timings, err = lint.RunTimed(pkgs, analyzers, *parallel)
-		if err != nil {
-			fmt.Fprintln(stderr, "avlint:", err)
-			return 2
-		}
-		npkgs = len(pkgs)
+	pkgs, err := lint.LoadModuleParallel(*dir, *parallel, patterns...)
+	if err != nil {
+		fmt.Fprintln(stderr, "avlint:", err)
+		return 2
+	}
+	diags, timings, err := lint.RunTimed(pkgs, analyzers, *parallel)
+	if err != nil {
+		fmt.Fprintln(stderr, "avlint:", err)
+		return 2
 	}
 	elapsed := time.Since(start)
 
@@ -123,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags[i].Pos.Filename = relativize(cwd, diags[i].Pos.Filename)
 	}
 	if *timingsOut != "" {
-		if err := writeTimingsFile(*timingsOut, *timingsPrefix, elapsed, timings); err != nil {
+		if err := writeTimingsFile(*timingsOut, elapsed, timings); err != nil {
 			fmt.Fprintln(stderr, "avlint:", err)
 			return 2
 		}
@@ -141,8 +114,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%s: [%s] %s\n", d.Pos, d.Analyzer, d.Message)
 		}
 	}
-	fmt.Fprintf(stderr, "avlint: %d package(s), %d analyzer(s) in %s%s\n",
-		npkgs, len(analyzers), elapsed.Round(time.Millisecond), cacheNote)
+	fmt.Fprintf(stderr, "avlint: %d package(s), %d analyzer(s) in %s\n",
+		len(pkgs), len(analyzers), elapsed.Round(time.Millisecond))
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "avlint: %d violation(s)\n", len(diags))
 		return 1
@@ -203,16 +176,14 @@ func writeJSON(w io.Writer, diags []lint.Diagnostic, timings lint.Timings) error
 }
 
 // writeTimingsFile writes the lint cost as a flat benchjson-compatible
-// object — "<prefix>/total_ns" for the whole run (loading included) and
-// "<prefix>/<analyzer>_ns" per analyzer — so `make bench-commit` tooling
-// can merge it into the day's BENCH_<date>.json. The prefix is "Lint" for
-// a cold run and "LintWarm" for the cached pass, so both land in one
-// BENCH file without colliding.
-func writeTimingsFile(path, prefix string, total time.Duration, timings lint.Timings) error {
+// object — "Lint/total_ns" for the whole run (loading included) and
+// "Lint/<analyzer>_ns" per analyzer — so `make lint` can merge it into
+// the day's BENCH_<date>.json.
+func writeTimingsFile(path string, total time.Duration, timings lint.Timings) error {
 	flat := make(map[string]int64, len(timings)+1)
-	flat[prefix+"/total_ns"] = total.Nanoseconds()
+	flat["Lint/total_ns"] = total.Nanoseconds()
 	for name, d := range timings {
-		flat[prefix+"/"+name+"_ns"] = d.Nanoseconds()
+		flat["Lint/"+name+"_ns"] = d.Nanoseconds()
 	}
 	buf, err := json.MarshalIndent(flat, "", "  ")
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -259,42 +260,42 @@ func TestEscapeWorkflowCommand(t *testing.T) {
 	}
 }
 
-// TestCacheOutputByteIdentical pins cache soundness at the CLI layer: an
-// uncached run, a cold -cache-dir run, and a fully-warm run over the dirty
-// fixture must produce byte-identical stdout — the cache may change how
-// fast the answer arrives, never the answer.
-func TestCacheOutputByteIdentical(t *testing.T) {
-	dirty := filepath.Join(repoRoot(t), "cmd", "avlint", "testdata", "dirty")
-	cache := t.TempDir()
-
-	runOnce := func(args ...string) string {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 1 {
-			t.Fatalf("avlint %v exited %d, want 1\nstderr: %s", args, code, stderr.String())
-		}
-		return stdout.String()
-	}
-	uncached := runOnce("-C", dirty, "./...")
-	cold := runOnce("-C", dirty, "-cache-dir", cache, "./...")
-	warm := runOnce("-C", dirty, "-cache-dir", cache, "./...")
-	if cold != uncached {
-		t.Errorf("cold cached stdout differs from uncached:\ncached:\n%s\nuncached:\n%s", cold, uncached)
-	}
-	if warm != uncached {
-		t.Errorf("warm cached stdout differs from uncached:\ncached:\n%s\nuncached:\n%s", warm, uncached)
-	}
-}
-
-// TestSequentialMatchesParallel pins scheduling-independence: linting the
-// repository with a single worker and with the default pool must produce
-// byte-identical diagnostics (here: none, plus identical ordering
-// guarantees exercised by the dirty fixture's findings).
+// TestSequentialMatchesParallel pins scheduling-independence on two
+// inputs. The dirty fixture has findings, so one worker and eight must
+// print byte-identical, identically ordered stdout. The repository is
+// clean, so there the check is that both widths load the same packages in
+// the same order and agree on every diagnostic.
 func TestSequentialMatchesParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the repository twice; skipped in -short mode")
 	}
 	root := repoRoot(t)
+
+	dirty := filepath.Join(root, "cmd", "avlint", "testdata", "dirty")
+	lintDirty := func(parallel string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-C", dirty, "-parallel", parallel, "./..."}, &stdout, &stderr); code != 1 {
+			t.Fatalf("-parallel %s over the dirty fixture exited %d, want 1\nstderr: %s", parallel, code, stderr.String())
+		}
+		if stdout.Len() == 0 {
+			t.Fatalf("-parallel %s over the dirty fixture printed no findings", parallel)
+		}
+		return stdout.String()
+	}
+	seqOut, parOut := lintDirty("1"), lintDirty("8")
+	if seqOut != parOut {
+		t.Errorf("dirty fixture stdout differs:\n-parallel 1:\n%s\n-parallel 8:\n%s", seqOut, parOut)
+	}
+	// Identical output is only half the contract: it must also be in the
+	// canonical file, line, column order.
+	lines := strings.Split(strings.TrimSuffix(seqOut, "\n"), "\n")
+	for i := 1; i < len(lines); i++ {
+		if comparePos(t, lines[i-1], lines[i]) > 0 {
+			t.Errorf("findings out of order:\n  %s\n  %s", lines[i-1], lines[i])
+		}
+	}
+
 	analyzers := lint.All()
 
 	seqPkgs, err := lint.LoadModuleParallel(root, 1, "./...")
@@ -331,4 +332,28 @@ func TestSequentialMatchesParallel(t *testing.T) {
 			t.Errorf("diagnostic %d differs:\n  sequential: %s\n  parallel:   %s", i, seq[i], par[i])
 		}
 	}
+}
+
+// comparePos orders two "file:line:col: ..." finding lines by file, then
+// line, then column.
+func comparePos(t *testing.T, a, b string) int {
+	t.Helper()
+	pa, pb := strings.SplitN(a, ":", 4), strings.SplitN(b, ":", 4)
+	if len(pa) < 4 || len(pb) < 4 {
+		t.Fatalf("finding lines lack a file:line:col prefix:\n  %s\n  %s", a, b)
+	}
+	if c := strings.Compare(pa[0], pb[0]); c != 0 {
+		return c
+	}
+	for i := 1; i <= 2; i++ {
+		x, errA := strconv.Atoi(pa[i])
+		y, errB := strconv.Atoi(pb[i])
+		if errA != nil || errB != nil {
+			t.Fatalf("finding position is not numeric:\n  %s\n  %s", a, b)
+		}
+		if x != y {
+			return x - y
+		}
+	}
+	return 0
 }

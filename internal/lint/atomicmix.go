@@ -34,8 +34,7 @@ var AtomicMix = &Analyzer{
 	Doc: "flags struct fields and package variables updated via sync/atomic (or typed " +
 		"atomics like atomic.Int64) that are also read or read-modify-written as plain " +
 		"values without the guarding mutex held",
-	Version: 1,
-	Run:     runAtomicMix,
+	Run: runAtomicMix,
 }
 
 // atomicWitness records where a variable was seen used atomically, for the

@@ -53,11 +53,6 @@ type Analyzer struct {
 	// a non-empty scope without a recorded exemption, so scope lists can
 	// no longer silently drift as packages are added.
 	Scope []string
-	// Version participates in the findings-cache key (cache.go): bump it
-	// whenever the analyzer's diagnostics can change for unchanged input —
-	// a new check, a reworded message, a fixed false positive — so stale
-	// cached findings are invalidated instead of replayed.
-	Version int
 	// Run inspects one package and reports violations through the pass.
 	Run func(*Pass) error
 }
@@ -205,15 +200,6 @@ func RunTimed(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic
 			times[name] += d
 		}
 	}
-	sortDiagnostics(diags)
-	return diags, times, nil
-}
-
-// sortDiagnostics fixes the canonical diagnostic order — file, line,
-// column, analyzer name — shared by RunTimed and the findings cache, so a
-// run assembled from cached and fresh packages orders identically to a
-// cold one.
-func sortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -227,6 +213,7 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
+	return diags, times, nil
 }
 
 // runPackage applies the analyzers to one package and filters the

@@ -133,19 +133,14 @@ func (ix *FuncIndex) record(path string, files []*ast.File, info *types.Info) {
 	}
 }
 
-// listedPkg is the subset of `go list -json` output the loader and the
-// findings cache consume.
+// listedPkg is the subset of `go list -json` output the loader consumes.
 type listedPkg struct {
 	ImportPath   string
 	Dir          string
 	Export       string
-	DepOnly      bool
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Imports      []string
-	TestImports  []string
-	XTestImports []string
 	Standard     bool
 }
 

@@ -21,7 +21,7 @@ package lint
 // closure's edges into the graph but reports only the edges its own
 // functions witness, so a cycle spanning packages is diagnosed exactly once
 // per witnessing site and the result depends only on the package plus its
-// dependency closure (the property the findings cache keys on).
+// dependency closure.
 //
 // Documented false negatives (DESIGN.md §26): locks reached through
 // interface or func-value dispatch, locks acquired inside function
@@ -48,8 +48,7 @@ var LockOrder = &Analyzer{
 	Doc: "builds the module-wide lock-ordering graph (which locks each function acquires " +
 		"while holding which others, interprocedurally) and flags cycles as potential " +
 		"deadlocks, plus same-instance reacquisition of a non-reentrant mutex",
-	Version: 1,
-	Run:     runLockOrder,
+	Run: runLockOrder,
 }
 
 // lockAcq is one lock acquisition a function may perform, directly or
