@@ -18,6 +18,7 @@ var GoroLeak = &Analyzer{
 		"link to the parent) in concurrent packages",
 	// The packages whose goroutines must be tethered: the pipeline's
 	// fan-out stages and the worker pool they share (internal/par), the
+	// streaming corpus generator's worker pool (internal/synth), the
 	// serving layer, the load harness's open-loop
 	// arrival generators, and snapshot2's background verification. A
 	// goroutine with no WaitGroup, channel, or context connection to its
@@ -30,6 +31,7 @@ var GoroLeak = &Analyzer{
 		"internal/nlp",
 		"internal/ocr",
 		"internal/par",
+		"internal/synth",
 		"internal/serve",
 		"internal/loadgen",
 		"internal/snapshot2",

@@ -55,8 +55,7 @@ var scopeExemptions = map[string]map[string]string{
 			"internal/calib", "internal/core", "internal/frame",
 			"internal/mission", "internal/ontology", "internal/query",
 			"internal/reliability", "internal/report", "internal/scandoc",
-			"internal/schema", "internal/stats", "internal/stpa",
-			"internal/synth"),
+			"internal/schema", "internal/stats", "internal/stpa"),
 	),
 	"ctxflow": mergeExempt(
 		lintToolingExempt,

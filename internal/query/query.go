@@ -14,7 +14,8 @@
 // (manufacturer/tag/category value → row ids) so equality-filtered queries
 // walk only the smallest matching posting list instead of scanning every
 // row; SelectScan is the full-scan reference implementation the tests hold
-// the indexed path equal to.
+// the indexed path equal to. Only the columns a filter sets are read, and
+// an empty filter is an identity range: a page reads just its own rows.
 package query
 
 import (
@@ -330,17 +331,23 @@ func eqFold(got, want string) bool {
 }
 
 // matches verifies every predicate of f against row i. from/toExcl are the
-// pre-parsed month bounds.
+// pre-parsed month bounds. Only the columns a set predicate names are
+// read, and Time only when a month bound is set, so an unset predicate
+// costs nothing per row.
 func (e *Engine) matches(i int, f Filter, from, toExcl time.Time) bool {
-	if !eqFold(e.src.Manufacturer(i), f.Manufacturer) ||
-		!eqFold(e.src.Tag(i), f.Tag) ||
-		!eqFold(e.src.Category(i), f.Category) ||
-		!eqFold(e.src.Road(i), f.Road) ||
-		!eqFold(e.src.Weather(i), f.Weather) ||
-		!eqFold(e.src.Modality(i), f.Modality) {
+	s := e.src
+	if (f.Manufacturer != "" && !strings.EqualFold(s.Manufacturer(i), f.Manufacturer)) ||
+		(f.Tag != "" && !strings.EqualFold(s.Tag(i), f.Tag)) ||
+		(f.Category != "" && !strings.EqualFold(s.Category(i), f.Category)) ||
+		(f.Road != "" && !strings.EqualFold(s.Road(i), f.Road)) ||
+		(f.Weather != "" && !strings.EqualFold(s.Weather(i), f.Weather)) ||
+		(f.Modality != "" && !strings.EqualFold(s.Modality(i), f.Modality)) {
 		return false
 	}
-	ts := e.src.Time(i)
+	if from.IsZero() && toExcl.IsZero() {
+		return true
+	}
+	ts := s.Time(i)
 	if !from.IsZero() && ts.Before(from) {
 		return false
 	}
@@ -422,13 +429,36 @@ func (e *Engine) SelectScan(f Filter) ([]int, error) {
 	return e.scan(f, from, toExcl), nil
 }
 
+// selection is a filter's matching rows: every row in [0, n) when the
+// filter is empty, an identity range that reads no column and builds no
+// id slice, else the ascending ids Select returned.
+type selection struct {
+	all bool
+	n   int
+	ids []int
+}
+
+// row returns the k-th matching row, k in [0, n).
+func (s selection) row(k int) int {
+	if s.all {
+		return k
+	}
+	return s.ids[k]
+}
+
+// selectRows resolves f to its matching rows.
+func (e *Engine) selectRows(f Filter) (selection, error) {
+	if f == (Filter{}) {
+		return selection{all: true, n: e.src.NumRows()}, nil
+	}
+	ids, err := e.Select(f)
+	return selection{ids: ids, n: len(ids)}, err
+}
+
 // Count returns the number of events matching the filter.
 func (e *Engine) Count(f Filter) (int, error) {
-	ids, err := e.Select(f)
-	if err != nil {
-		return 0, err
-	}
-	return len(ids), nil
+	sel, err := e.selectRows(f)
+	return sel.n, err
 }
 
 // event materializes row i.
@@ -461,17 +491,18 @@ func (p Page) bounds(n int) (offset, start, end int) {
 }
 
 // Events returns one page of matching events plus the match total. An
-// offset at or past the total yields an empty (non-nil) page.
+// offset at or past the total yields an empty (non-nil) page. An empty
+// filter reads only the page's rows.
 func (e *Engine) Events(f Filter, p Page) (EventPage, error) {
-	ids, err := e.Select(f)
+	sel, err := e.selectRows(f)
 	if err != nil {
 		return EventPage{}, err
 	}
-	offset, start, end := p.bounds(len(ids))
-	page := EventPage{Total: len(ids), Offset: offset, Limit: p.Limit}
+	offset, start, end := p.bounds(sel.n)
+	page := EventPage{Total: sel.n, Offset: offset, Limit: p.Limit}
 	page.Events = make([]Event, 0, end-start)
-	for _, i := range ids[start:end] {
-		page.Events = append(page.Events, e.event(i))
+	for k := start; k < end; k++ {
+		page.Events = append(page.Events, e.event(sel.row(k)))
 	}
 	return page, nil
 }
@@ -591,20 +622,21 @@ func IsGroupColumn(by string) bool {
 
 // GroupCount counts matching events per value of the named column, most
 // frequent first (ties broken by key). "month" groups by the event's
-// "YYYY-MM"; an unknown column is a *ColumnError.
+// "YYYY-MM"; an unknown column is a *ColumnError, reported before any row
+// is read.
 func (e *Engine) GroupCount(f Filter, by string) ([]GroupCount, error) {
-	ids, err := e.Select(f)
-	if err != nil {
-		return nil, err
-	}
 	col, ok := groupIndex[by]
 	if !ok {
 		return nil, &ColumnError{Column: by, Err: errNoColumn}
 	}
+	sel, err := e.selectRows(f)
+	if err != nil {
+		return nil, err
+	}
 	key := groupKeys[col].key
 	counts := make(map[string]int)
-	for _, i := range ids {
-		counts[key(e.src, i)]++
+	for k := 0; k < sel.n; k++ {
+		counts[key(e.src, sel.row(k))]++
 	}
 	return sortedGroups(counts), nil
 }

@@ -203,6 +203,101 @@ func TestIndexScanEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: filter %+v: indexed %v != scanned %v", trial, f, indexed, scanned)
 		}
 	}
+	checkEmptyFilterPages(t, eng)
+}
+
+// checkEmptyFilterPages holds the empty filter's identity-range pages to
+// the SelectScan reference: offsets 0, middle, n-1, n and past n, with a
+// positive limit and with Limit <= 0 (unlimited).
+func checkEmptyFilterPages(t *testing.T, eng *Engine) {
+	t.Helper()
+	ids, err := eng.SelectScan(Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(ids)
+	if n != eng.Len() {
+		t.Fatalf("SelectScan(Filter{}) matched %d of %d rows", n, eng.Len())
+	}
+	for _, offset := range []int{0, n / 2, n - 1, n, n + 50} {
+		for _, limit := range []int{50, 0, -1} {
+			p := Page{Offset: offset, Limit: limit}
+			got, err := eng.Events(Filter{}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := EventPage{Total: n, Offset: offset, Limit: limit, Events: []Event{}}
+			end := n
+			if limit > 0 {
+				end = min(offset+limit, n)
+			}
+			for k := offset; k < end; k++ {
+				want.Events = append(want.Events, eng.event(ids[k]))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("Events(Filter{}, %+v): %d events, total %d; want %d events, total %d",
+					p, len(got.Events), got.Total, len(want.Events), want.Total)
+			}
+		}
+	}
+	count, err := eng.Count(Filter{})
+	if err != nil || count != n {
+		t.Fatalf("Count(Filter{}) = %d, %v; want %d", count, err, n)
+	}
+}
+
+// countingSource counts the distinct rows an engine reads through any
+// column accessor.
+type countingSource struct {
+	Source
+	seen map[int]bool
+}
+
+func (c *countingSource) mark(i int)                { c.seen[i] = true }
+func (c *countingSource) Manufacturer(i int) string { c.mark(i); return c.Source.Manufacturer(i) }
+func (c *countingSource) Vehicle(i int) string      { c.mark(i); return c.Source.Vehicle(i) }
+func (c *countingSource) ReportYear(i int) string   { c.mark(i); return c.Source.ReportYear(i) }
+func (c *countingSource) Time(i int) time.Time      { c.mark(i); return c.Source.Time(i) }
+func (c *countingSource) Cause(i int) string        { c.mark(i); return c.Source.Cause(i) }
+func (c *countingSource) Tag(i int) string          { c.mark(i); return c.Source.Tag(i) }
+func (c *countingSource) Category(i int) string     { c.mark(i); return c.Source.Category(i) }
+func (c *countingSource) Modality(i int) string     { c.mark(i); return c.Source.Modality(i) }
+func (c *countingSource) Road(i int) string         { c.mark(i); return c.Source.Road(i) }
+func (c *countingSource) Weather(i int) string      { c.mark(i); return c.Source.Weather(i) }
+func (c *countingSource) ReactionSeconds(i int) float64 {
+	c.mark(i)
+	return c.Source.ReactionSeconds(i)
+}
+
+// TestRowsReadFollowFilter pins what the executor reads: an unknown
+// group-by column is rejected before any row is read, and an empty
+// filter's page reads exactly the page's rows.
+func TestRowsReadFollowFilter(t *testing.T) {
+	src := &countingSource{Source: randomEngine(t, rand.New(rand.NewSource(3)), 200).src, seen: map[int]bool{}}
+	eng, err := NewFromSource(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = eng.GroupCount(Filter{}, "nope")
+	var ce *ColumnError
+	if !errors.As(err, &ce) {
+		t.Fatalf("GroupCount(Filter{}, \"nope\") error = %v, want *ColumnError", err)
+	}
+	if len(src.seen) != 0 {
+		t.Fatalf("rejecting an unknown column read %d rows, want 0", len(src.seen))
+	}
+	page, err := eng.Events(Filter{}, Page{Offset: 120, Limit: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Events) != 50 || len(src.seen) != 50 {
+		t.Fatalf("empty-filter page returned %d events and read %d rows, want 50 and 50", len(page.Events), len(src.seen))
+	}
+	for i := range src.seen {
+		if i < 120 || i >= 170 {
+			t.Fatalf("empty-filter page at offset 120 read row %d", i)
+		}
+	}
 }
 
 func TestPagination(t *testing.T) {

@@ -32,6 +32,10 @@ type Study struct {
 	// exists for the study (snapshotless builds): those responses simply
 	// carry no validator.
 	ETag string
+
+	// memo holds the study's parameter-free answers as encoded bytes
+	// (memo.go); it is filled on first request and freed with the study.
+	memo memo
 }
 
 // Database returns the study's failure database through the engine's
@@ -319,10 +323,12 @@ func (c *Cache) fetchFromPeer(seed int64) (*Study, bool) {
 //
 // Release path: OpenSeed retains no file descriptor (the fd is closed as
 // soon as the mapping exists), so an evicted study pins only its mapping.
-// The mapping is torn down by the view's finalizer once the last request
-// referencing the engine drops it — eviction under churn is bounded by
-// cache capacity plus in-flight requests, never by how many seeds have
-// ever been served. TestEvictionChurnMappedViews pins this.
+// Once the last request referencing the engine drops it, one GC cycle
+// frees the view with its materialized database and queues the finalizer
+// on the view's mapping owner, which unmaps the file — eviction under
+// churn is bounded by cache capacity plus in-flight requests, never by
+// how many seeds have ever been served. TestEvictionChurnMappedViews pins
+// this.
 func (c *Cache) loadSnapshot(seed int64) (*Study, error) {
 	v, err := snapshot2.OpenSeed(c.snapDir, seed)
 	if err != nil {

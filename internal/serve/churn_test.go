@@ -34,10 +34,10 @@ func countSnapshotMappings(t *testing.T) int {
 //  1. Safety — an evicted study's mapping stays valid while any request
 //     still references its engine (the finalizer cannot run while a
 //     reference is live), so no Get or query here can fault or misread.
-//  2. Boundedness — once references drop, the finalizer unmaps; the
-//     number of live .avsnap2 mappings converges to a small constant
-//     (resident + in-flight) rather than growing with every seed ever
-//     served. OpenSeed keeps no file descriptor at all (the fd is closed
+//  2. Boundedness — once references drop, the finalizer on the view's
+//     mapping owner unmaps; the number of live .avsnap2 mappings
+//     converges to a small constant (resident + in-flight) rather than
+//     growing with every seed ever served. OpenSeed keeps no file descriptor at all (the fd is closed
 //     as soon as the mapping exists), so fd exhaustion is structurally
 //     impossible regardless of churn.
 func TestEvictionChurnMappedViews(t *testing.T) {
@@ -104,10 +104,11 @@ func TestEvictionChurnMappedViews(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("mapping-count check needs /proc/self/maps")
 	}
-	// Boundedness: after references drop, finalizers unmap on GC. Poll a
-	// few cycles — finalizer execution needs one GC to queue and another
-	// to run — and require convergence well below the number of loads.
-	limit := 2 // resident study + one straggler whose finalizer is queued
+	// Boundedness: after references drop, the GC cycle that finds a view
+	// unreachable queues its mapping owner's finalizer, which unmaps. Poll
+	// a few cycles, since the finalizer goroutine runs after the cycle
+	// returns, and require convergence well below the number of loads.
+	limit := 2 // resident study + one straggler whose unmap has not run yet
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

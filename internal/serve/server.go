@@ -37,7 +37,9 @@
 // an ETag derived from the v2 snapshot's CRC-32C (identical on every node
 // serving the seed, see etag.go) and a Cache-Control window, so repeated
 // conditional requests short-circuit to 304 before any query work. Bodies
-// are gzipped when the client negotiates it.
+// are gzipped when the client negotiates it. Answers that take no
+// parameter beyond the study (reliability, tables, unfiltered group-bys)
+// are encoded and gzipped once per study and served as bytes (memo.go).
 package serve
 
 import (
@@ -389,7 +391,8 @@ type GroupByResponse struct {
 	Groups []query.GroupCount `json:"groups"`
 }
 
-// handleGroupBy counts filtered events per value of the ?by= column.
+// handleGroupBy counts filtered events per value of the ?by= column. An
+// unfiltered group-by is computed and encoded once per study.
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	// Same ordering discipline as the listing handlers: a missing or
 	// unknown by parameter and a malformed month bound are knowable
@@ -414,16 +417,40 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	groups, err := study.Engine.GroupCount(f, by)
+	if f == (query.Filter{}) {
+		b, err := study.memo.get("groupby/"+by, func() (*memoBody, error) {
+			res, err := groupBy(study, f, by)
+			if err != nil {
+				return nil, err
+			}
+			return jsonMemo(res)
+		})
+		if err != nil {
+			writeQueryError(w, err)
+			return
+		}
+		writeMemo(w, r, b)
+		return
+	}
+	res, err := groupBy(study, f, by)
 	if err != nil {
 		writeQueryError(w, err)
 		return
+	}
+	writeJSON(w, http.StatusOK, res)
+}
+
+// groupBy runs one group-by and totals its buckets.
+func groupBy(study *Study, f query.Filter, by string) (GroupByResponse, error) {
+	groups, err := study.Engine.GroupCount(f, by)
+	if err != nil {
+		return GroupByResponse{}, err
 	}
 	res := GroupByResponse{By: by, Groups: groups}
 	for _, g := range groups {
 		res.Total += g.Count
 	}
-	writeJSON(w, http.StatusOK, res)
+	return res, nil
 }
 
 // ReliabilityResponse is the reliability-metrics payload.
@@ -431,18 +458,25 @@ type ReliabilityResponse struct {
 	Manufacturers []query.ReliabilityMetric `json:"manufacturers"`
 }
 
-// handleReliability reports per-manufacturer DPM/DPA/APM metrics.
+// handleReliability reports per-manufacturer DPM/DPA/APM metrics,
+// computed and encoded once per study.
 func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	study, ok := s.study(w, r)
 	if !ok {
 		return
 	}
-	rows, err := study.Engine.Reliability()
+	b, err := study.memo.get("reliability", func() (*memoBody, error) {
+		rows, err := study.Engine.Reliability()
+		if err != nil {
+			return nil, err
+		}
+		return jsonMemo(ReliabilityResponse{Manufacturers: rows})
+	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "reliability: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ReliabilityResponse{Manufacturers: rows})
+	writeMemo(w, r, b)
 }
 
 // tableRenderers maps a lower-cased table id to its renderer. Table II
@@ -457,7 +491,7 @@ var tableRenderers = map[string]func(*core.DB) (string, error){
 	"viii": report.TableVIII,
 }
 
-// handleTable renders one paper table as plain text.
+// handleTable renders one paper table as plain text, once per study.
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	id := strings.ToLower(r.PathValue("id"))
 	render, ok := tableRenderers[id]
@@ -470,18 +504,22 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 	if !okStudy {
 		return
 	}
-	db, err := study.Database()
+	b, err := study.memo.get("table/"+id, func() (*memoBody, error) {
+		db, err := study.Database()
+		if err != nil {
+			return nil, err
+		}
+		text, err := render(db)
+		if err != nil {
+			return nil, err
+		}
+		return textMemo(text)
+	})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "render table %s: %v", id, err)
 		return
 	}
-	text, err := render(db)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "render table %s: %v", id, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, text)
+	writeMemo(w, r, b)
 }
 
 // handleSnapshot streams the seed's raw v2 snapshot file — the peer

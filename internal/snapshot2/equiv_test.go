@@ -174,8 +174,66 @@ func TestSnapshotV2QueryEquivalence(t *testing.T) {
 		t.Fatal("reliability metrics diverge")
 	}
 
+	dir := t.TempDir()
+	if _, err := WriteSeed(dir, 11, db); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenSeed(dir, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	onFile, err := query.NewFromSource(opened, opened.Database)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkEmptyFilterPages(t, "heap", fresh, v)
+	checkEmptyFilterPages(t, "view", mapped, v)
+	checkEmptyFilterPages(t, "mapped file", onFile, v)
+
 	for _, seed := range []int64{1, 2} {
 		checkGroupCountsAgainstFrame(t, seedStudy(t, seed))
+	}
+}
+
+// checkEmptyFilterPages holds an engine's empty-filter pages — offsets
+// 0, middle, n-1, n and past n, with a positive limit and with Limit <= 0
+// — to the rows SelectScan matches, read through the reference View.
+func checkEmptyFilterPages(t *testing.T, name string, e *query.Engine, ref *View) {
+	t.Helper()
+	ids, err := e.SelectScan(query.Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(ids)
+	if n != ref.NumRows() {
+		t.Fatalf("%s: SelectScan(Filter{}) matched %d of %d rows", name, n, ref.NumRows())
+	}
+	for _, offset := range []int{0, n / 2, n - 1, n, n + 50} {
+		for _, limit := range []int{50, 0, -1} {
+			p := query.Page{Offset: offset, Limit: limit}
+			got, err := e.Events(query.Filter{}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := query.EventPage{Total: n, Offset: offset, Limit: limit, Events: []query.Event{}}
+			end := n
+			if limit > 0 {
+				end = min(offset+limit, n)
+			}
+			for k := offset; k < end; k++ {
+				i := ids[k]
+				want.Events = append(want.Events, query.Event{
+					Manufacturer: ref.Manufacturer(i), Vehicle: ref.Vehicle(i), ReportYear: ref.ReportYear(i),
+					Time: ref.Time(i), Cause: ref.Cause(i), Tag: ref.Tag(i), Category: ref.Category(i),
+					Modality: ref.Modality(i), Road: ref.Road(i), Weather: ref.Weather(i),
+					ReactionSeconds: ref.ReactionSeconds(i),
+				})
+			}
+			if !bytes.Equal(jsonBytes(t, got), jsonBytes(t, want)) {
+				t.Fatalf("%s: Events(Filter{}, %+v) diverges from the SelectScan rows", name, p)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -13,9 +14,12 @@ import (
 // over the mapping. A missing file surfaces as fs.ErrNotExist (a plain
 // cache-tier miss, not corruption); anything structurally wrong yields the
 // package's typed errors. The mapping is released by Close or, failing
-// that, by a finalizer when the View is collected — cache eviction can
+// that, by a finalizer on the View's small mapping owner, which runs in
+// the GC cycle that finds the View unreachable — cache eviction can
 // simply drop the View even while late readers hold materialized results,
-// because nothing handed out aliases the mapped bytes.
+// because nothing handed out aliases the mapped bytes. The finalizer is
+// not on the View itself: that would keep the View's materialized
+// database, posting lists and string cache alive for one more cycle.
 //
 // The length and checksum are validated against the mapped bytes before
 // the View is returned, so a file truncated at write time is rejected here
@@ -52,7 +56,24 @@ func Open(path string) (*View, error) {
 		syscall.Munmap(data)
 		return nil, verr
 	}
-	v.closer = func() error { return syscall.Munmap(data) }
-	runtime.SetFinalizer(v, (*View).Close)
+	v.owner = &mapping{data: data}
+	runtime.SetFinalizer(v.owner, (*mapping).release)
 	return v, nil
+}
+
+// mapping owns one read-only file mapping. It references nothing but the
+// mapped bytes, so its finalizer pins no heap beyond itself.
+type mapping struct {
+	data     []byte
+	released atomic.Bool
+}
+
+// release unmaps the bytes; it is idempotent, and the first call also
+// clears the finalizer.
+func (m *mapping) release() error {
+	if !m.released.CompareAndSwap(false, true) {
+		return nil
+	}
+	runtime.SetFinalizer(m, nil)
+	return syscall.Munmap(m.data)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,10 +31,14 @@ import (
 // column accessors after Close, but strings already materialized and any
 // Database() result remain valid — they never alias the mapped bytes.
 type View struct {
-	data   []byte
-	crc    uint32
-	closer func() error
-	closed atomic.Bool
+	data []byte
+	crc  uint32
+	// owner holds the mapping for views opened by Open; nil for views over
+	// caller-owned bytes. The finalizer that unmaps sits on the owner, not
+	// on the View: an object with a finalizer keeps everything it reaches
+	// alive for one more GC cycle, and the View reaches its materialized
+	// database, posting lists and string cache.
+	owner *mapping
 
 	nEvents, nMileage, nFleets, nAccidents, nStrings int
 
@@ -546,9 +549,8 @@ func (v *View) Checksum() uint32 { return v.crc }
 // After Close, column accessors must not be used; previously materialized
 // strings and Database() results remain valid.
 func (v *View) Close() error {
-	if v.closer == nil || !v.closed.CompareAndSwap(false, true) {
+	if v.owner == nil {
 		return nil
 	}
-	runtime.SetFinalizer(v, nil)
-	return v.closer()
+	return v.owner.release()
 }
